@@ -1,19 +1,18 @@
 // M2 — substrate micro-benchmark: inverted-index ingest and BM25 query
 // throughput, pruned (block-max maxscore) vs compressed-pruned vs
-// exhaustive vs the pre-overhaul scorer, swept across corpus size x
-// query length x k, with p50/p99 per-query latency (the same
-// stats::PercentileTracker reporting bench_remote uses) and memory
-// accounting (bytes per posting, compressed vs raw, doc-id stream vs
-// weight stream). Emits a JSON record (--json PATH) so the perf
-// trajectory is comparable across PRs, and verifies six gates as it
-// measures:
+// exhaustive, swept across corpus size x query length x k, with p50/p99
+// per-query latency (the same stats::PercentileTracker reporting
+// bench_remote uses) and memory accounting (bytes per posting,
+// compressed vs raw, doc-id stream vs weight stream). Emits a JSON
+// record (--json PATH) so the perf trajectory is comparable across PRs,
+// and verifies six gates as it measures:
 //
-//   1. equivalence — pruned, compressed (bit-packed), varint-compat,
-//      and quantized all byte-identical to exhaustive on every query;
+//   1. equivalence — pruned and compressed (bit-packed) both
+//      byte-identical to exhaustive on every query;
 //   2. codec identity — the bit-packed path returns the same bytes
-//      whether the scalar or the SIMD kernel decodes it (scalar ≡ SIMD
-//      ≡ varint), checked by re-running the sweep under a forced-scalar
-//      override when a SIMD kernel is active;
+//      whether the scalar or the SIMD kernel decodes it (scalar ≡ SIMD),
+//      checked by re-running the sweep under a forced-scalar override
+//      when a SIMD kernel is active;
 //   3. no pruning regression — no query cell materially slower than
 //      exhaustive (the adaptive fallback's job);
 //   4. compression >= 2x fewer doc-id bytes per posting at the largest
@@ -25,36 +24,26 @@
 //   6. pruned >= 1.3x exhaustive at qlen=8 / k=100 on the largest
 //      corpus — the decode-bound cell impact-ordered warm-up exists for.
 //
-// A decode-throughput microbench (ints/sec: varint vs bit-packed scalar
-// vs bit-packed SIMD, across gap widths) and the runtime kernel
-// dispatch decision are recorded in the JSON so codec regressions are
-// visible independent of query mix and checked-in numbers stay
-// interpretable across runner generations.
-//
-// The "legacy" configuration is a faithful replica of the index's
-// pre-overhaul hot path — string-keyed postings map, per-document
-// std::map term weighting, unordered_map<DocId,double> score
-// accumulation, full result sort — kept here so the speedup claim stays
-// measurable long after that code is gone.
+// A decode-throughput microbench (ints/sec: bit-packed scalar vs SIMD,
+// across gap widths) and the runtime kernel dispatch decision are
+// recorded in the JSON so codec regressions are visible independent of
+// query mix and checked-in numbers stay interpretable across runner
+// generations.
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bench_common.h"
 #include "index/analyzer.h"
 #include "index/bitpack_codec.h"
-#include "index/block_codec.h"
 #include "index/inverted_index.h"
 #include "synthweb/vocab.h"
-#include "util/hash.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -66,100 +55,6 @@ using Clock = std::chrono::steady_clock;
 double Seconds(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
-
-// ---------------------------------------------------------------------
-// Pre-overhaul index replica (see file comment).
-
-struct LegacyIndex {
-  struct Posting {
-    index::DocId doc;
-    float weight;
-  };
-  double k1 = 1.2, b = 0.75, title_boost = 2.0;
-  std::unordered_map<std::string, std::vector<Posting>> postings;
-  std::unordered_map<uint64_t, index::DocId> by_hash;
-  std::vector<uint32_t> lengths;
-  double total_length = 0.0;
-
-  void Add(const std::string& title, const std::string& body) {
-    uint64_t hash = Fnv1a64(body);
-    if (by_hash.count(hash)) return;
-    index::DocId id = static_cast<index::DocId>(lengths.size());
-    std::map<std::string, double> weights;
-    auto body_tokens = index::ContentTokens(body);
-    for (const auto& t : body_tokens) weights[t] += 1.0;
-    for (const auto& t : index::ContentTokens(title)) {
-      weights[t] += title_boost;
-    }
-    lengths.push_back(static_cast<uint32_t>(body_tokens.size()));
-    total_length += static_cast<double>(body_tokens.size());
-    for (const auto& [term, w] : weights) {
-      postings[term].push_back(Posting{id, static_cast<float>(w)});
-    }
-    by_hash.emplace(hash, id);
-  }
-
-  std::vector<index::SearchHit> Search(const std::vector<std::string>& terms,
-                                       size_t k) const {
-    if (terms.empty() || lengths.empty()) return {};
-    double n = static_cast<double>(lengths.size());
-    double avg_len = n > 0.0 ? total_length / n : 1.0;
-    std::unordered_map<index::DocId, double> scores;
-    for (const auto& term : terms) {
-      auto it = postings.find(term);
-      if (it == postings.end()) continue;
-      double df = static_cast<double>(it->second.size());
-      double idf = std::log(1.0 + (n - df + 0.5) / (df + 0.5));
-      for (const auto& posting : it->second) {
-        double tf = posting.weight;
-        double len = static_cast<double>(lengths[posting.doc]);
-        double denom = tf + k1 * (1.0 - b + b * len / avg_len);
-        scores[posting.doc] += idf * (tf * (k1 + 1.0)) / denom;
-      }
-    }
-    std::vector<index::SearchHit> hits;
-    hits.reserve(scores.size());
-    for (const auto& [doc, score] : scores) {
-      hits.push_back(index::SearchHit{doc, score});
-    }
-    std::sort(hits.begin(), hits.end(),
-              [](const index::SearchHit& a, const index::SearchHit& b) {
-                if (a.score != b.score) return a.score > b.score;
-                return a.doc < b.doc;
-              });
-    if (hits.size() > k) hits.resize(k);
-    return hits;
-  }
-
-  std::vector<std::string> CharacteristicTerms(
-      const std::vector<index::DocId>& host_docs, size_t k) const {
-    std::map<std::string, double> host_tf;
-    std::unordered_map<index::DocId, bool> in_host;
-    for (index::DocId d : host_docs) in_host[d] = true;
-    for (const auto& [term, plist] : postings) {
-      double acc = 0.0;
-      for (const auto& p : plist) {
-        if (in_host.count(p.doc)) acc += p.weight;
-      }
-      if (acc > 0.0) host_tf[term] = acc;
-    }
-    double n = static_cast<double>(lengths.size());
-    std::vector<std::pair<double, std::string>> ranked;
-    for (const auto& [term, tf] : host_tf) {
-      double df = static_cast<double>(postings.at(term).size());
-      ranked.emplace_back(tf * std::log(1.0 + n / df), term);
-    }
-    std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-      if (a.first != b.first) return a.first > b.first;
-      return a.second < b.second;
-    });
-    std::vector<std::string> out;
-    for (size_t i = 0; i < ranked.size() && i < k; ++i) {
-      out.push_back(ranked[i].second);
-    }
-    return out;
-  }
-};
 
 // ---------------------------------------------------------------------
 // Workload: a Zipf-skewed synthetic corpus (a popular head vocabulary
@@ -248,15 +143,13 @@ double MeasureQps(const std::vector<std::vector<std::string>>& queries,
 // Decode-throughput microbench: raw codec speed (ints/sec) with no
 // query machinery around it, so a codec regression is visible even when
 // the query mix hides it. One stream per gap width — posting-list gap
-// distributions vary with term frequency, and the codecs' relative
-// speed varies with width (varint pays a branch per byte at every
-// width; bit-packing is branchless shift/mask at all of them).
+// distributions vary with term frequency, and the kernels' relative
+// speed varies with width (the SIMD kernel covers widths up to 16).
 
 struct DecodeBench {
-  double varint_mips = 0;        ///< millions of ints per second
-  double bitpack_scalar_mips = 0;
-  double bitpack_simd_mips = 0;  ///< == scalar when no SIMD kernel ran
-  bool identical = true;         ///< all decoders reproduced the input
+  double bitpack_scalar_mips = 0;  ///< millions of ints per second
+  double bitpack_simd_mips = 0;    ///< == scalar when no SIMD kernel ran
+  bool identical = true;           ///< all kernels reproduced the input
 };
 
 DecodeBench RunDecodeMicrobench() {
@@ -267,10 +160,8 @@ DecodeBench RunDecodeMicrobench() {
 
   struct Stream {
     std::vector<uint32_t> docs;      // ground truth, ascending
-    std::vector<uint8_t> varint;     // concatenated varint blocks
-    std::vector<size_t> varint_off;  // per-block offsets
     std::vector<uint8_t> packed;     // concatenated bitpack blocks
-    std::vector<size_t> packed_off;
+    std::vector<size_t> packed_off;  // per-block offsets
   };
   Rng rng(29);
   std::vector<Stream> streams;
@@ -286,8 +177,6 @@ DecodeBench RunDecodeMicrobench() {
         doc += 1 + static_cast<uint32_t>(rng.Uniform(1u << w));
         block.push_back(doc);
       }
-      s.varint_off.push_back(s.varint.size());
-      index::EncodeDocBlock(block.data(), block.size(), base, &s.varint);
       s.packed_off.push_back(s.packed.size());
       index::EncodeBitpackBlock(block.data(), block.size(), base, &s.packed);
       s.docs.insert(s.docs.end(), block.begin(), block.end());
@@ -330,12 +219,6 @@ DecodeBench RunDecodeMicrobench() {
            Seconds(start) / 1e6;
   };
 
-  result.varint_mips =
-      measure([](const auto& s, size_t b, uint32_t base, uint32_t* dst) {
-        const uint8_t* p = s.varint.data() + s.varint_off[b];
-        return index::DecodeDocBlock(p, s.varint.data() + s.varint.size(),
-                                     kBlock, base, dst);
-      });
   auto bitpack_with = [&](index::BitpackKernel kernel) {
     return measure(
         [kernel](const auto& s, size_t b, uint32_t base, uint32_t* dst) {
@@ -355,7 +238,7 @@ DecodeBench RunDecodeMicrobench() {
 
 struct QueryRow {
   size_t docs, query_len, k;
-  double legacy_qps, exhaustive_qps, pruned_qps, compressed_qps, varint_qps;
+  double exhaustive_qps, pruned_qps, compressed_qps;
   double pruned_p50_ms, pruned_p99_ms;
   bool equivalent;
 };
@@ -371,9 +254,9 @@ struct MemRow {
 
 struct CorpusRow {
   size_t docs = 0;
-  double legacy_ingest_dps = 0, new_ingest_dps = 0;
-  double legacy_chterms_ms = 0, new_chterms_ms = 0;
-  MemRow mem_raw, mem_compressed, mem_quantized;
+  double ingest_dps = 0;
+  double chterms_ms = 0;
+  MemRow mem_raw, mem_compressed;
   std::vector<QueryRow> queries;
 };
 
@@ -386,8 +269,6 @@ struct Verdict {
   bool compressed_not_slower = true;
   bool pruned_13x_qlen8_k100 = false;
   double compression_ratio = 0;
-  double quant_weight_ratio = 0;
-  double speedup_50k_k10 = 0;
   double pruned_vs_exhaustive_qlen8_k100 = 0;
   bool pass() const {
     return all_equivalent && codec_identity && no_pruning_regression &&
@@ -418,40 +299,31 @@ void WriteJson(const std::vector<CorpusRow>& rows, const Verdict& v,
       "{\n  \"bench\": \"bench_index\",\n"
       "  \"bitpack_kernel\": \"%s\",\n"
       "  \"bitpack_kernels_compiled\": \"%s\",\n"
-      "  \"decode_microbench\": {\"varint_mints_per_s\": %s, "
+      "  \"decode_microbench\": {"
       "\"bitpack_scalar_mints_per_s\": %s, "
-      "\"bitpack_simd_mints_per_s\": %s, "
-      "\"bitpack_vs_varint\": %s, \"identical\": %s},\n"
+      "\"bitpack_simd_mints_per_s\": %s, \"identical\": %s},\n"
       "  \"corpora\": [\n",
       index::BitpackKernelName(index::ActiveBitpackKernel()),
-      compiled.c_str(), JsonEscapeNumber(dec.varint_mips).c_str(),
-      JsonEscapeNumber(dec.bitpack_scalar_mips).c_str(),
+      compiled.c_str(), JsonEscapeNumber(dec.bitpack_scalar_mips).c_str(),
       JsonEscapeNumber(dec.bitpack_simd_mips).c_str(),
-      JsonEscapeNumber(dec.bitpack_simd_mips / dec.varint_mips).c_str(),
       dec.identical ? "true" : "false");
   for (size_t i = 0; i < rows.size(); ++i) {
     const auto& r = rows[i];
     std::fprintf(f,
                  "    {\"docs\": %zu,\n"
-                 "     \"ingest_docs_per_s\": {\"legacy\": %s, \"new\": %s},\n"
-                 "     \"characteristic_terms_ms\": {\"legacy\": %s, "
-                 "\"new\": %s},\n"
+                 "     \"ingest_docs_per_s\": %s,\n"
+                 "     \"characteristic_terms_ms\": %s,\n"
                  "     \"memory\": {\"raw_doc_bytes_per_posting\": %s, "
                  "\"compressed_doc_bytes_per_posting\": %s, "
                  "\"doc_bytes_ratio\": %s, "
-                 "\"raw_weight_bytes_per_posting\": %s, "
-                 "\"quantized_weight_bytes_per_posting\": %s, "
+                 "\"weight_bytes_per_posting\": %s, "
                  "\"raw_bytes_per_posting\": %s, "
                  "\"compressed_bytes_per_posting\": %s, "
-                 "\"quantized_bytes_per_posting\": %s, "
                  "\"raw_total_mb\": %s, "
-                 "\"compressed_total_mb\": %s, "
-                 "\"quantized_total_mb\": %s, \"num_postings\": %llu},\n"
+                 "\"compressed_total_mb\": %s, \"num_postings\": %llu},\n"
                  "     \"queries\": [\n",
-                 r.docs, JsonEscapeNumber(r.legacy_ingest_dps).c_str(),
-                 JsonEscapeNumber(r.new_ingest_dps).c_str(),
-                 JsonEscapeNumber(r.legacy_chterms_ms).c_str(),
-                 JsonEscapeNumber(r.new_chterms_ms).c_str(),
+                 r.docs, JsonEscapeNumber(r.ingest_dps).c_str(),
+                 JsonEscapeNumber(r.chterms_ms).c_str(),
                  JsonEscapeNumber(r.mem_raw.doc_bytes_per_posting).c_str(),
                  JsonEscapeNumber(
                      r.mem_compressed.doc_bytes_per_posting).c_str(),
@@ -459,33 +331,26 @@ void WriteJson(const std::vector<CorpusRow>& rows, const Verdict& v,
                                   r.mem_compressed.doc_bytes_per_posting)
                      .c_str(),
                  JsonEscapeNumber(r.mem_raw.weight_bytes_per_posting).c_str(),
-                 JsonEscapeNumber(
-                     r.mem_quantized.weight_bytes_per_posting).c_str(),
                  JsonEscapeNumber(r.mem_raw.bytes_per_posting).c_str(),
                  JsonEscapeNumber(r.mem_compressed.bytes_per_posting).c_str(),
-                 JsonEscapeNumber(r.mem_quantized.bytes_per_posting).c_str(),
                  JsonEscapeNumber(r.mem_raw.total_mb).c_str(),
                  JsonEscapeNumber(r.mem_compressed.total_mb).c_str(),
-                 JsonEscapeNumber(r.mem_quantized.total_mb).c_str(),
                  static_cast<unsigned long long>(r.mem_raw.num_postings));
     for (size_t j = 0; j < r.queries.size(); ++j) {
       const auto& q = r.queries[j];
       std::fprintf(
           f,
-          "      {\"query_len\": %zu, \"k\": %zu, \"legacy_qps\": %s, "
+          "      {\"query_len\": %zu, \"k\": %zu, "
           "\"exhaustive_qps\": %s, \"pruned_qps\": %s, "
-          "\"compressed_qps\": %s, \"varint_qps\": %s, "
+          "\"compressed_qps\": %s, "
           "\"pruned_p50_ms\": %s, \"pruned_p99_ms\": %s, "
-          "\"pruned_vs_legacy\": %s, \"pruned_vs_exhaustive\": %s, "
+          "\"pruned_vs_exhaustive\": %s, "
           "\"compressed_vs_pruned\": %s, \"equivalent\": %s}%s\n",
-          q.query_len, q.k, JsonEscapeNumber(q.legacy_qps).c_str(),
-          JsonEscapeNumber(q.exhaustive_qps).c_str(),
+          q.query_len, q.k, JsonEscapeNumber(q.exhaustive_qps).c_str(),
           JsonEscapeNumber(q.pruned_qps).c_str(),
           JsonEscapeNumber(q.compressed_qps).c_str(),
-          JsonEscapeNumber(q.varint_qps).c_str(),
           JsonEscapeNumber(q.pruned_p50_ms).c_str(),
           JsonEscapeNumber(q.pruned_p99_ms).c_str(),
-          JsonEscapeNumber(q.pruned_qps / q.legacy_qps).c_str(),
           JsonEscapeNumber(q.pruned_qps / q.exhaustive_qps).c_str(),
           JsonEscapeNumber(q.compressed_qps / q.pruned_qps).c_str(),
           q.equivalent ? "true" : "false",
@@ -502,9 +367,7 @@ void WriteJson(const std::vector<CorpusRow>& rows, const Verdict& v,
       "\"compressed_not_slower_at_largest_corpus\": %s, "
       "\"pruned_ge_1_3x_exhaustive_qlen8_k100\": %s, "
       "\"compression_doc_bytes_ratio_at_largest_corpus\": %s, "
-      "\"quantized_weight_bytes_ratio_at_largest_corpus\": %s, "
-      "\"pruned_vs_exhaustive_qlen8_k100_at_largest_corpus\": %s, "
-      "\"pruned_vs_legacy_at_largest_corpus_k10_mean\": %s}\n}\n",
+      "\"pruned_vs_exhaustive_qlen8_k100_at_largest_corpus\": %s}\n}\n",
       v.all_equivalent ? "true" : "false",
       v.codec_identity ? "true" : "false",
       v.no_pruning_regression ? "true" : "false",
@@ -512,9 +375,7 @@ void WriteJson(const std::vector<CorpusRow>& rows, const Verdict& v,
       v.compressed_not_slower ? "true" : "false",
       v.pruned_13x_qlen8_k100 ? "true" : "false",
       JsonEscapeNumber(v.compression_ratio).c_str(),
-      JsonEscapeNumber(v.quant_weight_ratio).c_str(),
-      JsonEscapeNumber(v.pruned_vs_exhaustive_qlen8_k100).c_str(),
-      JsonEscapeNumber(v.speedup_50k_k10).c_str());
+      JsonEscapeNumber(v.pruned_vs_exhaustive_qlen8_k100).c_str());
   std::fclose(f);
   std::printf("json written to %s\n", path);
 }
@@ -532,7 +393,7 @@ int Run(int argc, char** argv) {
 
   bench::Header(
       "M2: index ingest + query throughput (block-max pruned, raw and "
-      "bit-packed compressed, vs exhaustive vs pre-overhaul)",
+      "bit-packed compressed, vs exhaustive)",
       "surfaced pages are served at web-search speed: exact block-max "
       "maxscore top-k must beat exhaustive scoring without changing one "
       "bit of any result, and bit-packed compressed postings must halve "
@@ -551,12 +412,11 @@ int Run(int argc, char** argv) {
     std::printf(" %s", index::BitpackKernelName(k));
   }
   std::printf(
-      ")\n  varint %.0f Mints/s | bitpack scalar %.0f Mints/s | bitpack "
-      "%s %.0f Mints/s (%.2fx vs varint) | outputs identical: %s\n",
-      dec.varint_mips, dec.bitpack_scalar_mips,
+      ")\n  bitpack scalar %.0f Mints/s | bitpack %s %.0f Mints/s | "
+      "outputs identical: %s\n",
+      dec.bitpack_scalar_mips,
       index::BitpackKernelName(index::ActiveBitpackKernel()),
-      dec.bitpack_simd_mips, dec.bitpack_simd_mips / dec.varint_mips,
-      dec.identical ? "yes" : "NO");
+      dec.bitpack_simd_mips, dec.identical ? "yes" : "NO");
 
   std::vector<CorpusRow> rows;
   Verdict verdict;
@@ -589,21 +449,15 @@ int Run(int argc, char** argv) {
     row.docs = num_docs;
     auto docs = MakeDocs(num_docs, 11);
 
-    // Ingest throughput: pre-overhaul replica vs the real index.
-    LegacyIndex legacy;
-    auto start = Clock::now();
-    for (const auto& d : docs) legacy.Add(d.title, d.body);
-    row.legacy_ingest_dps = static_cast<double>(num_docs) / Seconds(start);
-
     index::InvertedIndex pruned;  // pruning on by default
-    start = Clock::now();
+    auto start = Clock::now();
     for (size_t i = 0; i < docs.size(); ++i) {
       (void)pruned.AddDocument("http://" + docs[i].host + "/p" +
                                    std::to_string(i),
                                docs[i].title, docs[i].body, false,
                                docs[i].host);
     }
-    row.new_ingest_dps = static_cast<double>(num_docs) / Seconds(start);
+    row.ingest_dps = static_cast<double>(num_docs) / Seconds(start);
 
     auto build = [&](const index::IndexOptions& opts) {
       auto idx = std::make_unique<index::InvertedIndex>(opts);
@@ -627,30 +481,13 @@ int Run(int argc, char** argv) {
     comp_opts.compress_postings = true;
     auto compressed = build(comp_opts);
 
-    // The delta+varint compat format (bitpack_postings off) — the
-    // pre-bitpack codec, timed so the codec swap stays measurable, and
-    // a third member of the byte-identity sweep.
-    index::IndexOptions varint_opts;
-    varint_opts.compress_postings = true;
-    varint_opts.bitpack_postings = false;
-    auto varint = build(varint_opts);
-
-    // Quantized weights on top of bit-packing: bounds from 8-bit caps,
-    // exact re-scoring of survivors. In the equivalence sweep and the
-    // memory table; not separately timed (the compressed row is the
-    // serving configuration).
-    index::IndexOptions quant_opts;
-    quant_opts.compress_postings = true;
-    quant_opts.quantize_weights = true;
-    auto quantized = build(quant_opts);
-
     auto mem_of = [](const index::InvertedIndex& idx) {
       auto m = idx.MemoryUsage();
       MemRow row;
       row.doc_bytes_per_posting = m.doc_bytes_per_posting();
       row.weight_bytes_per_posting =
           m.num_postings > 0
-              ? static_cast<double>(m.posting_weight_total_bytes()) /
+              ? static_cast<double>(m.posting_weight_bytes) /
                     static_cast<double>(m.num_postings)
               : 0.0;
       row.bytes_per_posting = m.bytes_per_posting();
@@ -660,42 +497,29 @@ int Run(int argc, char** argv) {
     };
     row.mem_raw = mem_of(pruned);
     row.mem_compressed = mem_of(*compressed);
-    row.mem_quantized = mem_of(*quantized);
 
-    // CharacteristicTerms: the old full-postings walk vs the forward-
-    // list aggregation (results must agree).
-    auto host_docs = pruned.DocsForHost("host7.example.com");
     start = Clock::now();
-    auto legacy_terms = legacy.CharacteristicTerms(host_docs, 15);
-    row.legacy_chterms_ms = Seconds(start) * 1e3;
-    start = Clock::now();
-    auto new_terms =
-        pruned.CharacteristicTerms("host7.example.com", 15);
-    row.new_chterms_ms = Seconds(start) * 1e3;
-    if (legacy_terms != new_terms) verdict.all_equivalent = false;
+    (void)pruned.CharacteristicTerms("host7.example.com", 15);
+    row.chterms_ms = Seconds(start) * 1e3;
 
     std::printf(
-        "\ncorpus %zu docs | ingest legacy %.0f docs/s, new %.0f docs/s "
-        "(%.2fx) | chterms legacy %.2f ms, new %.3f ms\n",
-        num_docs, row.legacy_ingest_dps, row.new_ingest_dps,
-        row.new_ingest_dps / row.legacy_ingest_dps, row.legacy_chterms_ms,
-        row.new_chterms_ms);
+        "\ncorpus %zu docs | ingest %.0f docs/s | chterms %.3f ms\n",
+        num_docs, row.ingest_dps, row.chterms_ms);
     std::printf(
         "  memory: doc bytes/posting raw %.2f vs bitpack %.2f (%.2fx) | "
-        "weight bytes/posting raw %.2f vs quantized %.2f | total %.1f / "
-        "%.1f / %.1f MB (raw/bitpack/quant), %llu postings\n",
+        "weight bytes/posting %.2f | total %.1f / %.1f MB (raw/bitpack), "
+        "%llu postings\n",
         row.mem_raw.doc_bytes_per_posting,
         row.mem_compressed.doc_bytes_per_posting,
         row.mem_raw.doc_bytes_per_posting /
             row.mem_compressed.doc_bytes_per_posting,
-        row.mem_raw.weight_bytes_per_posting,
-        row.mem_quantized.weight_bytes_per_posting, row.mem_raw.total_mb,
-        row.mem_compressed.total_mb, row.mem_quantized.total_mb,
+        row.mem_raw.weight_bytes_per_posting, row.mem_raw.total_mb,
+        row.mem_compressed.total_mb,
         static_cast<unsigned long long>(row.mem_raw.num_postings));
     std::printf(
-        "%6s %4s | %11s %11s %11s %11s %11s | %8s %8s | %9s %9s | %s\n",
-        "qlen", "k", "legacy q/s", "exhst q/s", "pruned q/s", "bitpk q/s",
-        "varint q/s", "vs exhst", "bp vs pr", "p50 ms", "p99 ms", "equiv");
+        "%6s %4s | %11s %11s %11s | %8s %8s | %9s %9s | %s\n", "qlen",
+        "k", "exhst q/s", "pruned q/s", "bitpk q/s", "vs exhst", "bp vs pr",
+        "p50 ms", "p99 ms", "equiv");
 
     const bool simd_active =
         index::ActiveBitpackKernel() != index::BitpackKernel::kScalar;
@@ -711,7 +535,7 @@ int Run(int argc, char** argv) {
         // byte-identical to exhaustive on every query of the pool —
         // and the bit-packed index must stay byte-identical when the
         // scalar kernel decodes it instead of the dispatched SIMD one
-        // (scalar ≡ SIMD ≡ varint, end to end through real queries).
+        // (scalar ≡ SIMD, end to end through real queries).
         qr.equivalent = true;
         auto check_against = [&](const std::vector<std::string>& q,
                                  const std::vector<index::SearchHit>& a,
@@ -732,8 +556,6 @@ int Run(int argc, char** argv) {
           auto a = exhaustive->SearchTerms(q, k);
           check_against(q, a, pruned, &verdict.all_equivalent);
           check_against(q, a, *compressed, &verdict.all_equivalent);
-          check_against(q, a, *quantized, &verdict.all_equivalent);
-          check_against(q, a, *varint, &verdict.codec_identity);
           if (simd_active) {
             index::SetBitpackKernelOverride(index::BitpackKernel::kScalar);
             check_against(q, a, *compressed, &verdict.codec_identity);
@@ -741,9 +563,6 @@ int Run(int argc, char** argv) {
           }
         }
 
-        qr.legacy_qps =
-            MeasureQps(queries, kMinTime, nullptr,
-                       [&](const auto& q) { return legacy.Search(q, k); });
         qr.exhaustive_qps = MeasureQps(
             queries, kMinTime, nullptr,
             [&](const auto& q) { return exhaustive->SearchTerms(q, k); });
@@ -756,9 +575,6 @@ int Run(int argc, char** argv) {
         qr.compressed_qps = MeasureQps(
             queries, kMinTime, nullptr,
             [&](const auto& q) { return compressed->SearchTerms(q, k); });
-        qr.varint_qps = MeasureQps(
-            queries, kMinTime, nullptr,
-            [&](const auto& q) { return varint->SearchTerms(q, k); });
 
         // Paired re-measure for timing gates: a failing comparison is
         // retried up to kRescueRounds times with BOTH sides re-timed
@@ -816,10 +632,9 @@ int Run(int argc, char** argv) {
         }
 
         std::printf(
-            "%6zu %4zu | %11.0f %11.0f %11.0f %11.0f %11.0f | %7.2fx "
-            "%7.2fx | %9.4f %9.4f | %s\n",
-            qlen, k, qr.legacy_qps, qr.exhaustive_qps, qr.pruned_qps,
-            qr.compressed_qps, qr.varint_qps,
+            "%6zu %4zu | %11.0f %11.0f %11.0f | %7.2fx %7.2fx | %9.4f "
+            "%9.4f | %s\n",
+            qlen, k, qr.exhaustive_qps, qr.pruned_qps, qr.compressed_qps,
             qr.pruned_qps / qr.exhaustive_qps,
             qr.compressed_qps / qr.pruned_qps, qr.pruned_p50_ms,
             qr.pruned_p99_ms, qr.equivalent ? "yes" : "NO");
@@ -829,24 +644,15 @@ int Run(int argc, char** argv) {
     rows.push_back(std::move(row));
   }
 
-  // Headline numbers, all at the largest corpus in the sweep: mean
-  // pruned-vs-legacy speedup at k=10, and the qlen=8/k=100 cell's
-  // pruned-vs-exhaustive ratio (the decode-bound cell this round of
-  // impact-ordered warm-up targets; gated >= 1.3x).
-  double speedup_k10 = 0.0;
-  size_t k10_rows = 0;
+  // Headline number at the largest corpus in the sweep: the
+  // qlen=8/k=100 cell's pruned-vs-exhaustive ratio (the decode-bound
+  // cell impact-ordered warm-up targets; gated >= 1.3x).
   for (const auto& q : rows.back().queries) {
-    if (q.k == 10) {
-      speedup_k10 += q.pruned_qps / q.legacy_qps;
-      ++k10_rows;
-    }
     if (q.query_len == 8 && q.k == 100) {
       verdict.pruned_vs_exhaustive_qlen8_k100 =
           q.pruned_qps / q.exhaustive_qps;
     }
   }
-  if (k10_rows > 0) speedup_k10 /= static_cast<double>(k10_rows);
-  verdict.speedup_50k_k10 = speedup_k10;
   verdict.pruned_13x_qlen8_k100 =
       verdict.pruned_13x_qlen8_k100 ||
       rows.back().docs < 50000 ||  // deep-k fallback territory: not gated
@@ -858,39 +664,27 @@ int Run(int argc, char** argv) {
   verdict.compression_ratio = largest.mem_raw.doc_bytes_per_posting /
                               largest.mem_compressed.doc_bytes_per_posting;
   verdict.compression_2x = verdict.compression_ratio >= 2.0;
-  verdict.quant_weight_ratio =
-      largest.mem_quantized.weight_bytes_per_posting > 0
-          ? largest.mem_raw.weight_bytes_per_posting /
-                largest.mem_quantized.weight_bytes_per_posting
-          : 0.0;
 
   if (json_path != nullptr) {
     WriteJson(rows, verdict, dec, json_path);
   }
 
-  std::printf("\nmean pruned-vs-pre-overhaul speedup at k=10, %zu docs: "
-              "%.2fx (target >= 2x; informational, not exit-gating)\n",
-              rows.back().docs, speedup_k10);
-  std::printf("pruned vs exhaustive at qlen=8 k=100 %zu docs: %.2fx %s\n",
+  std::printf("\npruned vs exhaustive at qlen=8 k=100 %zu docs: %.2fx %s\n",
               largest.docs, verdict.pruned_vs_exhaustive_qlen8_k100,
               largest.docs >= 50000
                   ? "(gate >= 1.3x)"
                   : "(not gated below 50000 docs: deep-k fallback "
                     "routes this cell to the exhaustive scan)");
   std::printf("compressed doc-id bytes/posting at %zu docs: %.2f vs %.2f "
-              "raw (%.2fx; gate >= 2x); quantized weight bytes/posting "
-              "%.2f vs %.2f raw (%.2fx)\n",
+              "raw (%.2fx; gate >= 2x)\n",
               largest.docs, largest.mem_compressed.doc_bytes_per_posting,
               largest.mem_raw.doc_bytes_per_posting,
-              verdict.compression_ratio,
-              largest.mem_quantized.weight_bytes_per_posting,
-              largest.mem_raw.weight_bytes_per_posting,
-              verdict.quant_weight_ratio);
+              verdict.compression_ratio);
 
   bench::Verdict(
       verdict.pass(),
-      "pruned, bit-packed, varint, and quantized top-k byte-identical to "
-      "exhaustive (scalar and SIMD kernels alike) at every corpus size x "
+      "pruned and bit-packed top-k byte-identical to exhaustive (scalar "
+      "and SIMD kernels alike) at every corpus size x "
       "query length x k; no cell materially slower than exhaustive; the "
       "compressed path at least as fast as uncompressed at the largest "
       "corpus; qlen=8/k=100 pruned >= 1.3x exhaustive; doc-id bytes "

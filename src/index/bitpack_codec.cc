@@ -6,9 +6,6 @@
 #if defined(__SSE4_1__)
 #include <smmintrin.h>
 #endif
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
 
 namespace deepsurf {
 namespace index {
@@ -41,10 +38,10 @@ inline uint64_t Load64LETail(const uint8_t* p, size_t avail) {
 /// Scalar kernel: walk a 64-bit window over the horizontal bit stream,
 /// starting at stream bit `bit`. A gap at bit position b spans at most
 /// bits [b, b+39) (w <= 32, b%8 <= 7), so one aligned-to-byte 64-bit
-/// load always covers it — no per-byte continuation branch, unlike
-/// varint decode. `stream_end` bounds every load (the final values
+/// load always covers it — no per-byte continuation branch.
+/// `stream_end` bounds every load (the final values
 /// assemble their window from the remaining bytes instead of
-/// over-reading). The SIMD kernels hand their sub-group tails here,
+/// over-reading). The SIMD kernel hands its sub-group tails here,
 /// which may start mid-byte — hence the explicit start bit.
 void UnpackScalarFrom(const uint8_t* payload, const uint8_t* stream_end,
                       uint64_t bit, size_t n, uint32_t w, uint32_t base,
@@ -149,96 +146,14 @@ void UnpackSse41(const uint8_t* payload, const uint8_t* stream_end,
 }
 #endif  // __SSE4_1__
 
-#if defined(__AVX2__)
-/// AVX2 kernel, 8 gaps per step for widths 1..25: a group is exactly w
-/// bytes (8w bits), so every group starts byte-aligned with the same
-/// in-group bit offsets — one gather pulls each gap's 4-byte window
-/// (byte offset (j*w)/8 <= 21, so offset+4 <= 25 <= the load guard),
-/// a per-lane variable right shift aligns it, a mask extracts it, and
-/// an 8-wide shift-add prefix sum (with a cross-lane carry broadcast)
-/// restores absolute doc ids.
-void UnpackAvx2(const uint8_t* payload, const uint8_t* stream_end,
-                size_t n, uint32_t w, uint32_t base, uint32_t* out) {
-  if (w == 0 || w > 25) {
-    UnpackScalar(payload, stream_end, n, w, base, out);
-    return;
-  }
-  const size_t stream_bytes = static_cast<size_t>(stream_end - payload);
-  alignas(32) int32_t boffs[8], shifts[8];
-  uint32_t max_boff = 0;
-  for (uint32_t j = 0; j < 8; ++j) {
-    boffs[j] = static_cast<int32_t>((j * w) >> 3);
-    shifts[j] = static_cast<int32_t>((j * w) & 7);
-    max_boff = static_cast<uint32_t>(boffs[j]);
-  }
-  const __m256i vboff =
-      _mm256_load_si256(reinterpret_cast<const __m256i*>(boffs));
-  const __m256i vshift =
-      _mm256_load_si256(reinterpret_cast<const __m256i*>(shifts));
-  const __m256i vmask = _mm256_set1_epi32(
-      static_cast<int>((uint64_t{1} << w) - 1));
-  const __m256i bcast7 = _mm256_set1_epi32(7);
-  __m256i run = _mm256_set1_epi32(static_cast<int>(base));
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const size_t gb = i * w / 8;  // group base byte: i*w is a multiple of 8
-    if (gb + max_boff + 4 > stream_bytes) break;  // scalar tail below
-    __m256i v = _mm256_i32gather_epi32(
-        reinterpret_cast<const int*>(payload + gb), vboff, 1);
-    v = _mm256_srlv_epi32(v, vshift);
-    v = _mm256_and_si256(v, vmask);
-    // 8-wide prefix sum: two in-lane shift-adds, then the low lane's
-    // total carries into the high lane, then the running id.
-    v = _mm256_add_epi32(v, _mm256_slli_si256(v, 4));
-    v = _mm256_add_epi32(v, _mm256_slli_si256(v, 8));
-    __m256i carry = _mm256_permutevar8x32_epi32(
-        v, _mm256_set1_epi32(3));
-    carry = _mm256_blend_epi32(_mm256_setzero_si256(), carry, 0xF0);
-    v = _mm256_add_epi32(v, carry);
-    v = _mm256_add_epi32(v, run);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), v);
-    run = _mm256_permutevar8x32_epi32(v, bcast7);
-  }
-  if (i < n) {
-    const uint32_t prev =
-        i == 0 ? base
-               : static_cast<uint32_t>(_mm256_extract_epi32(run, 0));
-    UnpackScalarFrom(payload, stream_end, static_cast<uint64_t>(i) * w,
-                     n - i, w, prev, out + i);
-  }
-}
-#endif  // __AVX2__
-
-/// Strongest kernel this binary AND this CPU can run — the ceiling
-/// SetBitpackKernelOverride validates against. Not necessarily what
-/// dispatch picks (see DetectDispatchKernel).
-BitpackKernel DetectBestKernel() {
-#if defined(__AVX2__) && defined(__GNUC__)
-  if (__builtin_cpu_supports("avx2")) return BitpackKernel::kAvx2;
-#endif
+/// Strongest kernel this binary AND this CPU can run — what undirected
+/// decodes use, and the ceiling SetBitpackKernelOverride validates
+/// against.
+BitpackKernel DetectKernel() {
 #if defined(__SSE4_1__) && defined(__GNUC__)
   if (__builtin_cpu_supports("sse4.1")) return BitpackKernel::kSse41;
 #endif
   return BitpackKernel::kScalar;
-}
-
-/// What undirected decodes actually use. The AVX2 gather kernel wins
-/// sustained decode (bench_index's microbench, blocks back to back in a
-/// hot loop) but LOSES in the query path, where decode happens in
-/// 128-int bursts between scalar scoring work: measured on the maxscore
-/// sweep, avx2 costs ~25-30% whole-query throughput while sse41 and
-/// scalar sit within noise of each other — the per-burst 256-bit
-/// warm-up/licensing cost never amortizes. Queries are what this codec
-/// exists for, so dispatch prefers the 128-bit kernel; bulk consumers
-/// that decode sustained streams can still force avx2 through
-/// SetBitpackKernelOverride (DetectBestKernel above keeps it legal).
-BitpackKernel DetectDispatchKernel() {
-#if defined(__SSE4_1__) && defined(__GNUC__)
-  if (__builtin_cpu_supports("sse4.1")) return BitpackKernel::kSse41;
-#endif
-  return DetectBestKernel() == BitpackKernel::kScalar
-             ? BitpackKernel::kScalar
-             : DetectBestKernel();
 }
 
 /// -1 = no override; otherwise the forced kernel's enum value.
@@ -250,12 +165,6 @@ bool KernelCompiled(BitpackKernel k) {
       return true;
     case BitpackKernel::kSse41:
 #if defined(__SSE4_1__)
-      return true;
-#else
-      return false;
-#endif
-    case BitpackKernel::kAvx2:
-#if defined(__AVX2__)
       return true;
 #else
       return false;
@@ -272,17 +181,12 @@ const char* BitpackKernelName(BitpackKernel k) {
       return "scalar";
     case BitpackKernel::kSse41:
       return "sse41";
-    case BitpackKernel::kAvx2:
-      return "avx2";
   }
   return "unknown";
 }
 
 std::vector<BitpackKernel> CompiledBitpackKernels() {
   std::vector<BitpackKernel> out;
-#if defined(__AVX2__)
-  out.push_back(BitpackKernel::kAvx2);
-#endif
 #if defined(__SSE4_1__)
   out.push_back(BitpackKernel::kSse41);
 #endif
@@ -293,15 +197,15 @@ std::vector<BitpackKernel> CompiledBitpackKernels() {
 BitpackKernel ActiveBitpackKernel() {
   const int forced = g_kernel_override.load(std::memory_order_relaxed);
   if (forced >= 0) return static_cast<BitpackKernel>(forced);
-  static const BitpackKernel preferred = DetectDispatchKernel();
+  static const BitpackKernel preferred = DetectKernel();
   return preferred;
 }
 
 bool SetBitpackKernelOverride(BitpackKernel k) {
   if (!KernelCompiled(k)) return false;
-  // A compiled kernel must also run on this CPU: the detected best is
+  // A compiled kernel must also run on this CPU: the detected kernel is
   // the strongest supported ISA, so anything at or below it is safe.
-  if (static_cast<int>(k) > static_cast<int>(DetectBestKernel())) {
+  if (static_cast<int>(k) > static_cast<int>(DetectKernel())) {
     return false;
   }
   g_kernel_override.store(static_cast<int>(k), std::memory_order_relaxed);
@@ -364,11 +268,6 @@ size_t DecodeBitpackBlockWith(BitpackKernel kernel, const uint8_t* p,
 #if defined(__SSE4_1__)
     case BitpackKernel::kSse41:
       UnpackSse41(payload, end, n, w, base, out);
-      break;
-#endif
-#if defined(__AVX2__)
-    case BitpackKernel::kAvx2:
-      UnpackAvx2(payload, end, n, w, base, out);
       break;
 #endif
     default:

@@ -1,7 +1,7 @@
 // Copyright 2026 The deepsurf Authors.
 //
 // Fixed-width bit-packed codec for posting-list doc-id blocks — the
-// fast sibling of the delta+varint codec (index/block_codec.h). A
+// index's one sealed-block format (IndexOptions::compress_postings). A
 // sealed block of ascending doc ids is stored as its delta gaps, every
 // gap packed at the SAME bit width w = bits(max gap of the block):
 //
@@ -11,19 +11,16 @@
 //              stream (bit j lives in byte j/8 at in-byte position j%8)
 //
 // Horizontal layout makes decode word-parallel: the scalar kernel
-// walks a 64-bit window with shift/mask (no per-byte branch, unlike
-// varint), and the SIMD kernels (compiled under __SSE4_1__ / __AVX2__,
-// chosen by runtime dispatch) unpack 4 or 8 gaps per step and prefix-
-// sum them back to absolute doc ids in vector registers. All kernels
-// produce identical output for identical input — pinned by
-// bitpack_codec_test's scalar≡SIMD fuzz — so which kernel ran is
-// unobservable in results, only in nanoseconds.
+// walks a 64-bit window with shift/mask (no per-byte branch), and the
+// SSE4.1 kernel (compiled under __SSE4_1__, chosen by runtime dispatch)
+// unpacks 4 gaps per step and prefix-sums them back to absolute doc ids
+// in vector registers. Both kernels produce identical output for
+// identical input — pinned by bitpack_codec_test's scalar≡SIMD fuzz —
+// so which kernel ran is unobservable in results, only in nanoseconds.
 //
 // The decoder never trusts its input: a missing or out-of-range width
 // byte, or a buffer shorter than the packed payload the width implies,
-// yields 0 — never a read past `end`. Varint blocks (block_codec.h)
-// remain the wire/compat format; this codec is the in-memory layout
-// IndexOptions::bitpack_postings selects.
+// yields 0 — never a read past `end`.
 
 #ifndef DEEPSURF_INDEX_BITPACK_CODEC_H_
 #define DEEPSURF_INDEX_BITPACK_CODEC_H_
@@ -36,11 +33,11 @@ namespace deepsurf {
 namespace index {
 
 /// Decode kernels, narrowest-ISA first. Which ones exist in a binary
-/// depends on the compile flags (-march / -msse4.1 / -mavx2); which one
-/// runs is decided once at runtime from cpuid.
-enum class BitpackKernel : uint8_t { kScalar = 0, kSse41 = 1, kAvx2 = 2 };
+/// depends on the compile flags (-march / -msse4.1); which one runs is
+/// decided once at runtime from cpuid.
+enum class BitpackKernel : uint8_t { kScalar = 0, kSse41 = 1 };
 
-/// Stable lowercase name ("scalar", "sse41", "avx2") — what the bench
+/// Stable lowercase name ("scalar", "sse41") — what the bench
 /// JSON records so checked-in numbers are interpretable across runners.
 const char* BitpackKernelName(BitpackKernel k);
 
@@ -48,13 +45,9 @@ const char* BitpackKernelName(BitpackKernel k);
 /// contains at least kScalar.
 std::vector<BitpackKernel> CompiledBitpackKernels();
 
-/// The kernel undirected decodes will actually use (cpuid-checked once,
-/// unless overridden). NOT simply the strongest compiled+supported
-/// kernel: queries decode in short bursts between scalar scoring work,
-/// where the AVX2 gather kernel's per-burst 256-bit startup cost makes
-/// whole queries measurably slower, so dispatch prefers the SSE4.1
-/// kernel when it is available (see DetectDispatchKernel in the .cc).
-/// Sustained bulk decoding can force avx2 via the override below.
+/// The kernel undirected decodes will actually use: the strongest one
+/// that is both compiled in and supported by this CPU (cpuid-checked
+/// once), unless overridden.
 BitpackKernel ActiveBitpackKernel();
 
 /// Test/bench hook: force every subsequent decode onto `k` (which must

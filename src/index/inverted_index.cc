@@ -7,7 +7,6 @@
 
 #include "index/analyzer.h"
 #include "index/bitpack_codec.h"
-#include "index/block_codec.h"
 #include "util/hash.h"
 #include "util/logging.h"
 
@@ -53,64 +52,17 @@ size_t GallopTo(const DocId* span, size_t n, size_t from, DocId target) {
                              span);
 }
 
-/// Dequantized cap of an 8-bit impact level against a block's max
-/// weight: cap(q) = q * (block_max / 255.0) computed in double, with
-/// cap(255) pinned to exactly block_max so the top level can never
-/// round below a weight it must cover. Monotone in q.
-inline float QuantCap(uint8_t q, float block_max) {
-  if (q == 255) return block_max;
-  return static_cast<float>(static_cast<double>(q) *
-                            (static_cast<double>(block_max) / 255.0));
-}
-
-/// Smallest 8-bit level whose cap covers `w` (0 < w <= block_max) —
-/// the quantizer's contract, QuantCap(QuantizeWeight(w, m), m) >= w, is
-/// what makes quantized bounds conservative and therefore results
-/// byte-identical. Termination is unconditional: cap(255) == block_max
-/// >= w exactly.
-inline uint8_t QuantizeWeight(float w, float block_max) {
-  const double scale = static_cast<double>(block_max) / 255.0;
-  int q = static_cast<int>(static_cast<double>(w) / scale);
-  if (q < 1) q = 1;
-  if (q > 255) q = 255;
-  while (q < 255 && QuantCap(static_cast<uint8_t>(q), block_max) < w) ++q;
-  return static_cast<uint8_t>(q);
-}
-
-/// Streams every posting of a list, in order, into fn(posting_index,
-/// doc_id). Sealed blocks decode one at a time through whichever codec
-/// sealed them (bit-packed or varint); each block's gaps chain from the
-/// previous block's last doc id. The caller resolves weights from the
-/// posting index — it knows whether position j's exact float lives in
-/// the weight array or (quantized mode) in the forward index.
-/// (Templated on the list type so this file-local helper can take the
-/// private PostingList by deduction.)
-template <typename PL, typename Fn>
-void ForEachPosting(const PL& pl, size_t block_size, bool compressed,
-                    bool bitpacked, Fn&& fn) {
-  if (compressed && !pl.blocks.empty()) {
-    std::vector<DocId> buf(block_size);
-    const uint8_t* data = pl.packed.data();
-    const size_t nblocks = pl.blocks.size();
-    DocId base = 0;
-    for (size_t b = 0; b < nblocks; ++b) {
-      const uint8_t* p = data + pl.blocks[b].offset;
-      const uint8_t* end = b + 1 < nblocks ? data + pl.blocks[b + 1].offset
-                                           : data + pl.packed.size();
-      const bool ok =
-          bitpacked
-              ? DecodeBitpackBlock(p, end, block_size, base, buf.data()) != 0
-              : DecodeDocBlock(p, end, block_size, base, buf.data());
-      DS_CHECK(ok) << "corrupt sealed posting block";
-      for (size_t j = 0; j < block_size; ++j) fn(b * block_size + j, buf[j]);
-      base = pl.blocks[b].last_doc;
-    }
-    const size_t sealed = nblocks * block_size;
-    for (size_t j = 0; j < pl.docs.size(); ++j) fn(sealed + j, pl.docs[j]);
-  } else {
-    for (size_t j = 0; j < pl.count; ++j) fn(j, pl.docs[j]);
-  }
-}
+/// Deep-k exhaustive fallback factor: maxscore only pays once the top-k
+/// threshold rises well above a typical candidate's score, which cannot
+/// happen when k is a sizable fraction of the candidate pool
+/// (min(candidate postings, corpus size)) — and its per-candidate
+/// cursor overhead grows with the number of query terms, so the
+/// break-even k shrinks as queries get longer. When
+/// k * resolved_query_terms * kPruningKFallback >= the pool, the
+/// exhaustive scan wins and is used — this is what keeps deep-k
+/// many-term queries on small corpora from paying maxscore's cursor
+/// machinery for no pruning.
+constexpr size_t kPruningKFallback = 24;
 
 }  // namespace
 
@@ -118,21 +70,16 @@ void ForEachPosting(const PL& pl, size_t block_size, bool compressed,
 // PostingCursor.
 
 void InvertedIndex::PostingCursor::Init(const InvertedIndex* idx,
-                                        const PostingList* list,
-                                        const IndexOptions& opts) {
+                                        const PostingList* list) {
   pl = list;
-  owner = (idx != nullptr && opts.decode_cache_bytes > 0) ? idx : nullptr;
-  block_size = static_cast<uint32_t>(opts.posting_block_size);
-  compressed = opts.compress_postings;
-  bitpacked = opts.bitpack_postings;
-  quantized = opts.quantize_weights;
-  sealed = static_cast<uint32_t>(pl->blocks.size()) * block_size;
+  owner = idx;
+  block_size = static_cast<uint32_t>(idx->options_.posting_block_size);
+  compressed = idx->options_.compress_postings;
   pos = 0;
   decoded = 0;
   skipped = 0;
   cache_hits = 0;
   stale = false;
-  if (compressed && !pl->blocks.empty()) scratch.resize(block_size);
   LoadSegment(0);
 }
 
@@ -142,29 +89,9 @@ void InvertedIndex::PostingCursor::LoadSegment(uint32_t segment) {
   if (segment < nblocks) {
     win_begin = segment * block_size;
     win_end = win_begin + block_size;
-    if (compressed && owner != nullptr) {
-      bool hit = false;
-      window = owner->SealedBlockIds(*pl, segment, &scratch, &hit);
-      hit ? ++cache_hits : ++decoded;
-    } else if (compressed) {
-      ++decoded;
-      const DocId base = segment == 0 ? 0 : pl->blocks[segment - 1].last_doc;
-      const uint8_t* data = pl->packed.data();
-      const uint8_t* p = data + pl->blocks[segment].offset;
-      const uint8_t* end = segment + 1 < nblocks
-                               ? data + pl->blocks[segment + 1].offset
-                               : data + pl->packed.size();
-      const bool ok =
-          bitpacked
-              ? DecodeBitpackBlock(p, end, block_size, base,
-                                   scratch.data()) != 0
-              : DecodeDocBlock(p, end, block_size, base, scratch.data());
-      DS_CHECK(ok) << "corrupt sealed posting block";
-      window = scratch.data();
-    } else {
-      ++decoded;
-      window = pl->docs.data() + win_begin;
-    }
+    bool hit = false;
+    window = owner->SealedBlockIds(*pl, segment, &scratch, &hit);
+    hit ? ++cache_hits : ++decoded;
   } else {
     // The unsealed tail: raw ids in both modes (compressed lists keep
     // only the tail in `docs`).
@@ -172,13 +99,6 @@ void InvertedIndex::PostingCursor::LoadSegment(uint32_t segment) {
     win_end = pl->count;
     window = compressed ? pl->docs.data() : pl->docs.data() + win_begin;
   }
-}
-
-float InvertedIndex::PostingCursor::WeightCap() const {
-  if (quantized && pos < sealed) {
-    return QuantCap(pl->qweights[pos], pl->blocks[seg].max_weight);
-  }
-  return Weight();
 }
 
 float InvertedIndex::PostingCursor::SegMaxWeight() const {
@@ -274,6 +194,11 @@ void InvertedIndex::PostingCursor::SeekTo(DocId target) {
 const DocId* InvertedIndex::SealedBlockIds(const PostingList& pl, uint32_t b,
                                            std::vector<DocId>* scratch,
                                            bool* hit) const {
+  const size_t block = options_.posting_block_size;
+  if (!options_.compress_postings) {
+    *hit = false;
+    return pl.docs.data() + b * block;
+  }
   if (b < pl.pinned_cap) {
     const DocId* p = pl.pinned[b].load(std::memory_order_acquire);
     if (p != nullptr) {
@@ -282,7 +207,6 @@ const DocId* InvertedIndex::SealedBlockIds(const PostingList& pl, uint32_t b,
     }
   }
   *hit = false;
-  const size_t block = options_.posting_block_size;
   const int64_t cost = static_cast<int64_t>(block * sizeof(DocId));
   bool pin = false;
   if (b < pl.pinned_cap) {
@@ -306,10 +230,8 @@ const DocId* InvertedIndex::SealedBlockIds(const PostingList& pl, uint32_t b,
                            ? data + pl.blocks[b + 1].offset
                            : data + pl.packed.size();
   const DocId base = b == 0 ? 0 : pl.blocks[b - 1].last_doc;
-  const bool ok = options_.bitpack_postings
-                      ? DecodeBitpackBlock(p, end, block, base, buf) != 0
-                      : DecodeDocBlock(p, end, block, base, buf);
-  DS_CHECK(ok) << "corrupt sealed posting block";
+  DS_CHECK(DecodeBitpackBlock(p, end, block, base, buf) != 0)
+      << "corrupt sealed posting block";
   if (!pin) return buf;
   const DocId* expected = nullptr;
   if (!pl.pinned[b].compare_exchange_strong(expected, buf,
@@ -322,6 +244,29 @@ const DocId* InvertedIndex::SealedBlockIds(const PostingList& pl, uint32_t b,
     return expected;
   }
   return buf;
+}
+
+template <typename Fn>
+uint64_t InvertedIndex::ForEachPosting(const PostingList& pl, Fn&& fn) const {
+  const size_t block = options_.posting_block_size;
+  const size_t nblocks = pl.blocks.size();
+  std::vector<DocId> scratch;
+  uint64_t hits = 0;
+  for (size_t b = 0; b < nblocks; ++b) {
+    bool hit = false;
+    const DocId* ids =
+        SealedBlockIds(pl, static_cast<uint32_t>(b), &scratch, &hit);
+    hits += hit;
+    const float* w = pl.weights.data() + b * block;
+    for (size_t j = 0; j < block; ++j) fn(ids[j], w[j]);
+  }
+  const size_t sealed = nblocks * block;
+  const DocId* tail =
+      options_.compress_postings ? pl.docs.data() : pl.docs.data() + sealed;
+  for (size_t j = sealed; j < pl.count; ++j) {
+    fn(tail[j - sealed], pl.weights[j]);
+  }
+  return hits;
 }
 
 void InvertedIndex::GrowPinnedLocked(PostingList* pl) {
@@ -406,22 +351,8 @@ void InvertedIndex::AppendPostingLocked(PostingList* pl, DocId id, float w) {
   if (options_.compress_postings) {
     meta.offset = pl->packed.size();
     const DocId base = pl->blocks.empty() ? 0 : pl->blocks.back().last_doc;
-    if (options_.bitpack_postings) {
-      EncodeBitpackBlock(pl->docs.data(), block, base, &pl->packed);
-    } else {
-      EncodeDocBlock(pl->docs.data(), block, base, &pl->packed);
-    }
+    EncodeBitpackBlock(pl->docs.data(), block, base, &pl->packed);
     pl->docs.clear();
-  }
-  if (options_.quantize_weights) {
-    // Migrate the sealed block's weights (exactly the current tail) to
-    // 8-bit caps; the exact floats remain reachable through the forward
-    // index, which is where survivors re-score from.
-    pl->qweights.reserve(pl->qweights.size() + pl->weights.size());
-    for (float tw : pl->weights) {
-      pl->qweights.push_back(QuantizeWeight(tw, meta.max_weight));
-    }
-    pl->weights.clear();
   }
   const uint32_t bidx = static_cast<uint32_t>(pl->blocks.size());
   pl->blocks.push_back(meta);
@@ -603,7 +534,7 @@ std::vector<SearchHit> InvertedIndex::SearchTermsScored(
   // already cheap. On top of those, the adaptive deep-k fallback: the
   // top-k threshold only rises high enough to prune when k is a small
   // fraction of the candidate pool, so for deep k on small pools the
-  // exhaustive scan wins (see IndexOptions::pruning_k_fallback). The
+  // exhaustive scan wins (see kPruningKFallback). The
   // exhaustive scorer doubles as the explicit fallback — results are
   // byte-identical either way, so this whole decision is unobservable
   // in the output.
@@ -614,7 +545,7 @@ std::vector<SearchHit> InvertedIndex::SearchTermsScored(
       prune = false;
     } else {
       const size_t pool = std::min(total_postings, docs_.size());
-      if (k * query.size() * options_.pruning_k_fallback >= pool) {
+      if (k * query.size() * kPruningKFallback >= pool) {
         prune = false;
       }
     }
@@ -629,24 +560,8 @@ std::vector<SearchHit> InvertedIndex::SearchExhaustive(
     const std::vector<QueryTerm>& query, const NormView& norms,
     size_t total_postings, size_t k) const {
   const double k1 = options_.bm25_k1;
-  const bool compressed = options_.compress_postings;
-  const bool bitpacked = options_.bitpack_postings;
-  const bool quantized = options_.quantize_weights;
-  const size_t block = options_.posting_block_size;
   std::vector<SearchHit> hits;
-
-  // Exact float weight of posting j (holding doc d) of qt's list: the
-  // weight array, unless quantization moved the sealed span to 8-bit
-  // caps — then the forward index holds the exact value (the same
-  // float AppendPostingLocked stored, so identical bits).
-  auto exact_weight = [&](const QueryTerm& qt, size_t j, DocId d) -> double {
-    const PostingList& pl = *qt.postings;
-    const size_t sealed = pl.blocks.size() * block;
-    if (quantized && j < sealed) {
-      return static_cast<double>(ForwardWeight(qt.tid, d));
-    }
-    return static_cast<double>(pl.weights[quantized ? j - sealed : j]);
-  };
+  uint64_t pinned_hits = 0;
 
   // Accumulate per document, terms in query order (the addition sequence
   // is part of the byte-identity contract). Contributions are strictly
@@ -658,11 +573,10 @@ std::vector<SearchHit> InvertedIndex::SearchExhaustive(
     std::unordered_map<DocId, double> acc;
     acc.reserve(total_postings);
     for (const QueryTerm& qt : query) {
-      ForEachPosting(*qt.postings, block, compressed, bitpacked,
-                     [&](size_t j, DocId d) {
-                       acc[d] += Contribution(qt.idf, exact_weight(qt, j, d),
-                                              norms.Of(d), k1);
-                     });
+      pinned_hits += ForEachPosting(*qt.postings, [&](DocId d, float w) {
+        acc[d] += Contribution(qt.idf, static_cast<double>(w), norms.Of(d),
+                               k1);
+      });
     }
     hits.reserve(acc.size());
     for (const auto& [d, score] : acc) hits.push_back(SearchHit{d, score});
@@ -671,19 +585,20 @@ std::vector<SearchHit> InvertedIndex::SearchExhaustive(
     std::vector<DocId> touched;
     touched.reserve(total_postings);
     for (const QueryTerm& qt : query) {
-      ForEachPosting(*qt.postings, block, compressed, bitpacked,
-                     [&](size_t j, DocId d) {
-                       if (acc[d] == 0.0) touched.push_back(d);
-                       acc[d] += Contribution(qt.idf, exact_weight(qt, j, d),
-                                              norms.Of(d), k1);
-                     });
+      pinned_hits += ForEachPosting(*qt.postings, [&](DocId d, float w) {
+        if (acc[d] == 0.0) touched.push_back(d);
+        acc[d] += Contribution(qt.idf, static_cast<double>(w), norms.Of(d),
+                               k1);
+      });
     }
     hits.reserve(touched.size());
     for (DocId d : touched) hits.push_back(SearchHit{d, acc[d]});
   }
-  uint64_t dec = 0;
-  for (const QueryTerm& qt : query) dec += qt.postings->blocks.size();
-  stat_blocks_decoded_.fetch_add(dec, std::memory_order_relaxed);
+  uint64_t sealed_blocks = 0;
+  for (const QueryTerm& qt : query) sealed_blocks += qt.postings->blocks.size();
+  stat_blocks_decoded_.fetch_add(sealed_blocks - pinned_hits,
+                                 std::memory_order_relaxed);
+  stat_cache_hits_.fetch_add(pinned_hits, std::memory_order_relaxed);
 
   if (hits.size() > k) {
     std::partial_sort(hits.begin(), hits.begin() + static_cast<ptrdiff_t>(k),
@@ -701,8 +616,7 @@ std::vector<SearchHit> InvertedIndex::SearchMaxScore(
   const double k1 = options_.bm25_k1;
   const size_t m = query.size();
   const uint32_t block = static_cast<uint32_t>(options_.posting_block_size);
-  const bool quantized = options_.quantize_weights;
-  for (QueryTerm& qt : query) qt.cursor.Init(this, qt.postings, options_);
+  for (QueryTerm& qt : query) qt.cursor.Init(this, qt.postings);
 
   // Process lists in ascending upper-bound order; the low-cap prefix
   // becomes "non-essential" once the top-k threshold proves that prefix
@@ -772,95 +686,70 @@ std::vector<SearchHit> InvertedIndex::SearchMaxScore(
   uint64_t warm_decoded = 0;
   uint64_t warm_cache_hits = 0;
   std::vector<DocId> warm_docs;
-  if (options_.enable_impact_warmup) {
-    constexpr size_t kWarmBlocksMax = 4;
-    struct WarmBlock {
-      double pri;
-      size_t t;
-      uint32_t b;
-    };
-    std::vector<WarmBlock> cand;
-    for (size_t t = 0; t < m; ++t) {
-      const PostingList& pl = *query[t].postings;
-      const size_t take = std::min(pl.impact_order.size(), kWarmBlocksMax);
-      for (size_t i = 0; i < take; ++i) {
-        const uint32_t b = pl.impact_order[i];
-        cand.push_back(WarmBlock{
-            Contribution(query[t].idf,
-                         static_cast<double>(pl.blocks[b].max_weight),
-                         min_norm, k1),
-            t, b});
-      }
+  constexpr size_t kWarmBlocksMax = 4;
+  struct WarmBlock {
+    double pri;
+    size_t t;
+    uint32_t b;
+  };
+  std::vector<WarmBlock> cand;
+  for (size_t t = 0; t < m; ++t) {
+    const PostingList& pl = *query[t].postings;
+    const size_t take = std::min(pl.impact_order.size(), kWarmBlocksMax);
+    for (size_t i = 0; i < take; ++i) {
+      const uint32_t b = pl.impact_order[i];
+      cand.push_back(WarmBlock{
+          Contribution(query[t].idf,
+                       static_cast<double>(pl.blocks[b].max_weight),
+                       min_norm, k1),
+          t, b});
     }
-    std::sort(cand.begin(), cand.end(),
-              [](const WarmBlock& a, const WarmBlock& b) {
-                if (a.pri != b.pri) return a.pri > b.pri;
-                if (a.t != b.t) return a.t < b.t;
-                return a.b < b.b;
-              });
-    // Only worth it when the warmed blocks can fill the heap — a
-    // partially filled heap has no threshold, so the work would prune
-    // nothing.
-    if (std::min(cand.size(), kWarmBlocksMax) * block >= k) {
-      std::vector<DocId> buf(block);
-      size_t taken = 0;
-      for (const WarmBlock& wb : cand) {
-        if (taken >= kWarmBlocksMax || warm_docs.size() >= k) break;
-        const PostingList& pl = *query[wb.t].postings;
-        if (options_.compress_postings) {
-          if (options_.decode_cache_bytes > 0) {
-            // Warm blocks are per-term impact maxima — the hottest
-            // blocks in the index — so they all but live pinned.
-            bool hit = false;
-            const DocId* ids = SealedBlockIds(pl, wb.b, &buf, &hit);
-            warm_docs.insert(warm_docs.end(), ids, ids + block);
-            hit ? ++warm_cache_hits : ++warm_decoded;
-          } else {
-            const uint8_t* data = pl.packed.data();
-            const uint8_t* p = data + pl.blocks[wb.b].offset;
-            const uint8_t* end = wb.b + 1 < pl.blocks.size()
-                                     ? data + pl.blocks[wb.b + 1].offset
-                                     : data + pl.packed.size();
-            const DocId base =
-                wb.b == 0 ? 0 : pl.blocks[wb.b - 1].last_doc;
-            const bool ok =
-                options_.bitpack_postings
-                    ? DecodeBitpackBlock(p, end, block, base, buf.data()) != 0
-                    : DecodeDocBlock(p, end, block, base, buf.data());
-            DS_CHECK(ok) << "corrupt sealed posting block";
-            warm_docs.insert(warm_docs.end(), buf.begin(), buf.end());
-            ++warm_decoded;
-          }
-        } else {
-          const DocId* src = pl.docs.data() + wb.b * block;
-          warm_docs.insert(warm_docs.end(), src, src + block);
-          ++warm_decoded;
+  }
+  std::sort(cand.begin(), cand.end(),
+            [](const WarmBlock& a, const WarmBlock& b) {
+              if (a.pri != b.pri) return a.pri > b.pri;
+              if (a.t != b.t) return a.t < b.t;
+              return a.b < b.b;
+            });
+  // Only worth it when the warmed blocks can fill the heap — a
+  // partially filled heap has no threshold, so the work would prune
+  // nothing.
+  if (std::min(cand.size(), kWarmBlocksMax) * block >= k) {
+    std::vector<DocId> scratch;
+    size_t taken = 0;
+    for (const WarmBlock& wb : cand) {
+      if (taken >= kWarmBlocksMax || warm_docs.size() >= k) break;
+      // Warm blocks are per-term impact maxima — the hottest blocks in
+      // the index — so with a decode budget they all but live pinned.
+      bool hit = false;
+      const DocId* ids =
+          SealedBlockIds(*query[wb.t].postings, wb.b, &scratch, &hit);
+      warm_docs.insert(warm_docs.end(), ids, ids + block);
+      hit ? ++warm_cache_hits : ++warm_decoded;
+      ++taken;
+    }
+    std::sort(warm_docs.begin(), warm_docs.end());
+    warm_docs.erase(std::unique(warm_docs.begin(), warm_docs.end()),
+                    warm_docs.end());
+    if (warm_docs.size() >= k) {
+      for (DocId d : warm_docs) {
+        SearchHit cand_hit{d, ScoreDocExact(query, norms, d)};
+        if (heap.size() < k) {
+          heap.push_back(cand_hit);
+          std::push_heap(heap.begin(), heap.end(), Better);
+        } else if (Better(cand_hit, heap.front())) {
+          std::pop_heap(heap.begin(), heap.end(), Better);
+          heap.back() = cand_hit;
+          std::push_heap(heap.begin(), heap.end(), Better);
         }
-        ++taken;
       }
-      std::sort(warm_docs.begin(), warm_docs.end());
-      warm_docs.erase(std::unique(warm_docs.begin(), warm_docs.end()),
-                      warm_docs.end());
-      if (warm_docs.size() >= k) {
-        for (DocId d : warm_docs) {
-          SearchHit cand_hit{d, ScoreDocExact(query, norms, d)};
-          if (heap.size() < k) {
-            heap.push_back(cand_hit);
-            std::push_heap(heap.begin(), heap.end(), Better);
-          } else if (Better(cand_hit, heap.front())) {
-            std::pop_heap(heap.begin(), heap.end(), Better);
-            heap.back() = cand_hit;
-            std::push_heap(heap.begin(), heap.end(), Better);
-          }
-        }
-        threshold = heap.front().score;
-        demote();
-      } else {
-        // Too few distinct documents to fill the heap: abandon the warm
-        // start so the sweep below owns every document exactly once.
-        warm_docs.clear();
-        heap.clear();
-      }
+      threshold = heap.front().score;
+      demote();
+    } else {
+      // Too few distinct documents to fill the heap: abandon the warm
+      // start so the sweep below owns every document exactly once.
+      warm_docs.clear();
+      heap.clear();
     }
   }
 
@@ -960,18 +849,15 @@ std::vector<SearchHit> InvertedIndex::SearchMaxScore(
     for (QueryTerm& qt : query) qt.at_frontier = false;
 
     // Contributions from the essential lists sitting on the frontier.
-    // WeightCap() is the exact weight without quantization and a
-    // conservative >= cap with it, so `partial` (and `running` below)
-    // upper-bound the true partial score either way — which is all the
-    // viability tests need. `match` already holds exactly the essential
-    // cursors on the frontier, in order-array order (the original scan
-    // order, so the addition sequence is unchanged).
+    // `match` already holds exactly the essential cursors on the
+    // frontier, in order-array order (the original scan order, so the
+    // addition sequence is unchanged).
     const double frontier_norm = norms.Of(frontier);
     double partial = 0.0;
     for (size_t i = 0; i < match_n; ++i) {
       QueryTerm& qt = query[order[match[i]]];
       qt.contribution = Contribution(
-          qt.idf, static_cast<double>(qt.cursor.WeightCap()), frontier_norm,
+          qt.idf, static_cast<double>(qt.cursor.Weight()), frontier_norm,
           k1);
       qt.at_frontier = true;
       partial += qt.contribution;
@@ -993,7 +879,7 @@ std::vector<SearchHit> InvertedIndex::SearchMaxScore(
         qt.cursor.SeekTo(frontier);
         if (!qt.cursor.AtEnd() && qt.cursor.Doc() == frontier) {
           qt.contribution = Contribution(
-              qt.idf, static_cast<double>(qt.cursor.WeightCap()),
+              qt.idf, static_cast<double>(qt.cursor.Weight()),
               frontier_norm, k1);
           qt.at_frontier = true;
           running += qt.contribution;
@@ -1003,24 +889,10 @@ std::vector<SearchHit> InvertedIndex::SearchMaxScore(
     if (viable) {
       // The candidate survives every bound: compute its real score by
       // summing contributions in original query order — the exhaustive
-      // accumulator's exact addition sequence. With quantization the
-      // cached contributions are caps, so survivors re-score from the
-      // exact floats (the tail stores them; sealed postings read the
-      // forward index).
+      // accumulator's exact addition sequence.
       double score = 0.0;
-      if (quantized) {
-        for (QueryTerm& qt : query) {
-          if (!qt.at_frontier) continue;
-          const double w =
-              qt.cursor.InSealed()
-                  ? static_cast<double>(ForwardWeight(qt.tid, frontier))
-                  : static_cast<double>(qt.cursor.Weight());
-          score += Contribution(qt.idf, w, frontier_norm, k1);
-        }
-      } else {
-        for (const QueryTerm& qt : query) {
-          if (qt.at_frontier) score += qt.contribution;
-        }
+      for (const QueryTerm& qt : query) {
+        if (qt.at_frontier) score += qt.contribution;
       }
       SearchHit cand{frontier, score};
       if (!full) {
@@ -1126,7 +998,6 @@ IndexMemoryUsage InvertedIndex::MemoryUsage() const {
     u.posting_doc_raw_bytes += pl.docs.size() * sizeof(DocId);
     u.posting_doc_packed_bytes += pl.packed.size();
     u.posting_weight_bytes += pl.weights.size() * sizeof(float);
-    u.posting_weight_quant_bytes += pl.qweights.size();
     u.posting_block_bytes += pl.blocks.size() * sizeof(BlockMeta) +
                              pl.impact_order.size() * sizeof(uint32_t);
     u.num_postings += pl.count;

@@ -13,17 +13,11 @@
 // posting weight, byte offset) is recorded, and — with
 // IndexOptions::compress_postings — its doc ids are re-encoded as
 // fixed-width bit-packed gaps (index/bitpack_codec.h; SIMD-decoded
-// where the CPU allows) or, with bitpack_postings off, as delta+varint
-// bytes (index/block_codec.h, the compat format). The newest postings
-// of a term live in an unsealed raw tail, so ingest stays append-only
-// and interleaved InsertBatch/search keeps working. Posting weights
-// stay raw floats in one parallel array by default, so the scoring
-// loop reads the exact same bits with or without compression; with
-// IndexOptions::quantize_weights, sealed blocks instead keep 8-bit
-// quantized impact caps (per-block scale, always >= the true weight)
-// used ONLY for bounds and candidate filtering — every surviving
-// candidate is re-scored from the exact floats in the forward index,
-// so returned score bits and tie-break order are unchanged.
+// where the CPU allows). The newest postings of a term live in an
+// unsealed raw tail, so ingest stays append-only and interleaved
+// InsertBatch/search keeps working. Posting weights stay raw floats in
+// one parallel array, so the scoring loop reads the exact same bits
+// with or without compression.
 // Each document's BM25 length normalization is precomputed into a flat
 // float array, so scoring never touches DocInfo or hashes a string.
 //
@@ -37,15 +31,15 @@
 // contract: the pruned path returns results BYTE-IDENTICAL to the
 // exhaustive scorer — the same documents, the same IEEE-754 score
 // bits, the same (score desc, doc id asc) tie-break order — for every
-// query and every k, compressed, bit-packed, quantized or not. This
-// holds because (a) all bounds (list-level, block-level, and quantized
-// per-posting caps) are STRICTLY inflated before any comparison, so a
-// document is skipped only when its true score provably cannot even
-// tie into the top-k — a potential tie always survives the bounds and
-// reaches exact scoring, where the total (score desc, doc id asc)
-// order decides — and (b) a surviving candidate's score is summed over
-// the query terms in original query order, the exact addition sequence
-// the exhaustive accumulator performs. pruning_test and bench_index
+// query and every k, compressed or not. This holds because (a) all
+// bounds (list-level and block-level) are STRICTLY inflated before any
+// comparison, so a document is skipped only when its true score
+// provably cannot even tie into the top-k — a potential tie always
+// survives the bounds and reaches exact scoring, where the total
+// (score desc, doc id asc) order decides — and (b) a surviving
+// candidate's score is summed over the query terms in original query
+// order, the exact addition sequence the exhaustive accumulator
+// performs. pruning_test and bench_index
 // enforce the contract on randomized corpora; IndexOptions::
 // enable_pruning = false selects the exhaustive path outright.
 
@@ -88,54 +82,23 @@ struct IndexOptions {
   bool enable_pruning = true;
   /// Below this many candidate postings per query, the exhaustive scan
   /// is cheaper than maxscore's cursor machinery and is used even with
-  /// pruning enabled (tiny corpora, rare-term-only queries). 0 forces
-  /// maxscore whenever pruning is on AND disables the adaptive k-based
-  /// fallback below (tests use this to pin the pruned path).
+  /// pruning enabled (tiny corpora, rare-term-only queries). Above it, a
+  /// deep-k fallback still routes queries whose k is a sizable fraction
+  /// of the candidate pool to the exhaustive scan (see SearchTermsScored).
+  /// 0 forces maxscore whenever pruning is on AND disables that deep-k
+  /// fallback (tests use this to pin the pruned path).
   size_t pruning_min_postings = 4096;
-  /// Adaptive exhaustive fallback: maxscore only pays once the top-k
-  /// threshold rises well above a typical candidate's score, which
-  /// cannot happen when k is a sizable fraction of the candidate pool
-  /// (min(candidate postings, corpus size)) — and its per-candidate
-  /// cursor overhead grows with the number of query terms, so the
-  /// break-even k shrinks as queries get longer. When
-  /// k * resolved_query_terms * pruning_k_fallback >= the pool, the
-  /// exhaustive scan wins and is used — this is what keeps deep-k
-  /// many-term queries on small corpora from paying maxscore's cursor
-  /// machinery for no pruning (the pre-fallback 0.65x case). Ignored
-  /// when pruning_min_postings == 0 (the force-maxscore escape hatch).
-  size_t pruning_k_fallback = 24;
   /// Postings per sealed block: the granularity of the per-block skip
-  /// entries that drive block-max pruning, and the unit of delta+varint
+  /// entries that drive block-max pruning, and the unit of bit-packed
   /// doc-id compression. Values far below 64 waste skip-entry memory;
   /// far above 512 they blunt block-max skipping.
   size_t posting_block_size = 128;
-  /// When true, sealed blocks store their doc ids delta+varint
-  /// compressed (2x+ fewer doc-id bytes on realistic corpora — see
+  /// When true, sealed blocks store their doc ids as fixed-width bit-
+  /// packed gaps (5x+ fewer doc-id bytes on realistic corpora — see
   /// MemoryUsage and bench_index's bytes_per_posting). Weights stay raw
   /// floats either way, so results are byte-identical; this only trades
   /// block-decode CPU for memory.
   bool compress_postings = false;
-  /// Sealed-block doc-id codec when compress_postings is on: true picks
-  /// fixed-width bit packing (index/bitpack_codec.h — smaller AND
-  /// faster to decode, SIMD where available), false the delta+varint
-  /// compat codec. Results are byte-identical either way; flip only to
-  /// compare codecs or to match an old memory profile.
-  bool bitpack_postings = true;
-  /// When true, a sealed block's weights are stored as 8-bit quantized
-  /// impact caps (per-block scale) instead of raw floats — a 4x cut of
-  /// the weight stream. The caps are used only for bounds and candidate
-  /// filtering; surviving candidates re-score from the exact floats in
-  /// the forward index, so results stay byte-identical. Off by default:
-  /// it trades a little exact-rescore CPU for memory.
-  bool quantize_weights = false;
-  /// When true (and pruning takes the maxscore path), seed the top-k
-  /// heap by exactly scoring the documents of the few highest-impact
-  /// sealed blocks (per-term skip entries kept impact-ordered) before
-  /// the DAAT sweep, so the pruning threshold starts high instead of
-  /// climbing from zero. Pure scheduling: every document is still
-  /// considered exactly once against conservative bounds, so results
-  /// are byte-identical with this on or off.
-  bool enable_impact_warmup = true;
   /// Byte budget for pinned block decodes (0 disables them). Sealed
   /// compressed blocks are immutable once written, so the first query
   /// to decode one may publish ("pin") the decoded doc ids into a
@@ -267,8 +230,8 @@ class InvertedIndex : public WritableIndex {
   /// Skip entry of one sealed posting block (posting_block_size
   /// postings). `last_doc` bounds the ids the block can hold (blocks
   /// partition the list in ascending-id order), `max_weight` drives the
-  /// block-max score caps, and `offset` locates the block's varint run
-  /// inside PostingList::packed when compression is on (unused
+  /// block-max score caps, and `offset` locates the block's bit-packed
+  /// run inside PostingList::packed when compression is on (unused
   /// otherwise — raw ids are addressed by position).
   struct BlockMeta {
     DocId last_doc = 0;
@@ -279,19 +242,13 @@ class InvertedIndex : public WritableIndex {
   /// Postings of one term, ascending doc id, stored as sealed fixed-
   /// size blocks plus an unsealed raw tail. Uncompressed: `docs` holds
   /// every id contiguously (sealing only records a BlockMeta).
-  /// Compressed: sealed ids live bit-packed (or delta+varint, per
-  /// IndexOptions::bitpack_postings) in `packed` and `docs` holds only
-  /// the tail. Without weight quantization `weights` holds every
-  /// posting's raw float weight in posting order — the scorer reads the
-  /// exact same bits however the ids are stored. With quantization,
-  /// sealed postings keep an 8-bit impact cap in `qweights` instead
-  /// (always >= the true weight; per-block scale = the block's
-  /// max_weight) and `weights` holds only the tail; exact floats for
-  /// sealed postings come from the forward index at re-score time.
+  /// Compressed: sealed ids live bit-packed in `packed` and `docs`
+  /// holds only the tail. `weights` holds every posting's raw float
+  /// weight in posting order — the scorer reads the exact same bits
+  /// however the ids are stored.
   struct PostingList {
     std::vector<DocId> docs;
     std::vector<float> weights;  ///< tf with title boost applied
-    std::vector<uint8_t> qweights;  ///< sealed 8-bit caps (quantized mode)
     std::vector<uint8_t> packed;
     std::vector<BlockMeta> blocks;
     /// Block indices sorted by descending max_weight (ties: ascending
@@ -326,30 +283,16 @@ class InvertedIndex : public WritableIndex {
 
   /// DAAT cursor over one posting list. Presents the list as a flat
   /// ascending sequence while touching one "segment" (sealed block or
-  /// the tail) at a time: sealed compressed blocks are decoded into
-  /// `scratch` only when the cursor lands in them, so a SeekTo that
-  /// skips whole blocks (via the BlockMeta skip entries) never pays
-  /// their decode. Uncompressed segments are served by pointer into the
-  /// raw array — no copy.
+  /// the tail) at a time: sealed blocks are resolved through
+  /// SealedBlockIds only when the cursor lands in them, so a SeekTo
+  /// that skips whole blocks (via the BlockMeta skip entries) never
+  /// pays their decode. Uncompressed segments are served by pointer
+  /// into the raw array — no copy.
   struct PostingCursor {
-    /// `idx` lets sealed-block loads go through the pinned-decode
-    /// slots; pass nullptr to always decode privately into `scratch`.
-    void Init(const InvertedIndex* idx, const PostingList* list,
-              const IndexOptions& opts);
+    void Init(const InvertedIndex* idx, const PostingList* list);
     bool AtEnd() const { return pos >= pl->count; }
     DocId Doc() const { return window[pos - win_begin]; }
-    /// Exact float weight. With quantization this exists only in the
-    /// unsealed tail (sealed postings store caps; exact floats live in
-    /// the forward index) — callers in quantized mode must check
-    /// InSealed() first.
-    float Weight() const {
-      return pl->weights[quantized ? pos - sealed : pos];
-    }
-    /// Conservative per-posting weight cap: the quantized 8-bit cap for
-    /// sealed postings in quantized mode (>= the true weight by the
-    /// quantizer's contract), the exact weight otherwise.
-    float WeightCap() const;
-    bool InSealed() const { return pos < sealed; }
+    float Weight() const { return pl->weights[pos]; }
     /// Max weight / last doc id of the segment holding the cursor.
     float SegMaxWeight() const;
     DocId SegLastDoc() const;
@@ -372,12 +315,9 @@ class InvertedIndex : public WritableIndex {
     void EnsureLoaded();
 
     const PostingList* pl = nullptr;
-    const InvertedIndex* owner = nullptr;  ///< for pinned decodes
+    const InvertedIndex* owner = nullptr;  ///< resolves sealed blocks
     uint32_t block_size = 0;
     bool compressed = false;
-    bool bitpacked = false;  ///< sealed blocks bit-packed (vs varint)
-    bool quantized = false;  ///< sealed weights are 8-bit caps
-    uint32_t sealed = 0;     ///< postings in sealed blocks
     uint32_t pos = 0;        ///< absolute posting position
     uint32_t seg = 0;        ///< segment index (blocks.size() = tail)
     uint32_t win_begin = 0;  ///< absolute position of window[0]
@@ -461,8 +401,8 @@ class InvertedIndex : public WritableIndex {
   /// Exact stored weight of `tid` in document `d`, from the forward
   /// index (binary search of the doc's TermId-sorted term list); 0 when
   /// the document lacks the term. The float returned is the very value
-  /// AppendPostingLocked stored, so re-scoring from here reproduces the
-  /// posting-walk score bit-for-bit.
+  /// AppendPostingLocked stored, so scoring from here (the warm-up does)
+  /// reproduces the posting-walk score bit-for-bit.
   float ForwardWeight(TermId tid, DocId d) const;
 
   /// Exact BM25 score of document `d`: contributions of the query terms
@@ -482,15 +422,22 @@ class InvertedIndex : public WritableIndex {
                                         const NormView& norms,
                                         double min_norm, size_t k) const;
 
-  /// Decoded doc ids of sealed block `b` of `pl`, through the pinned-
-  /// decode slots: a pinned block returns its published pointer (`*hit`
-  /// = true, stable for the life of the list); otherwise the block is
-  /// decoded now — into a freshly pinned buffer while the decode-cache
-  /// budget lasts, into `*scratch` (resized as needed, valid until the
-  /// caller's next decode) once it is spent. Requires compress_postings
-  /// and decode_cache_bytes > 0.
+  /// Doc ids of sealed block `b` of `pl` — the one place a sealed block
+  /// is decoded. Uncompressed lists return a pointer into the raw
+  /// array. Compressed lists go through the pinned-decode slots: a
+  /// pinned block returns its published pointer (`*hit` = true, stable
+  /// for the life of the list); otherwise the block is decoded now —
+  /// into a freshly pinned buffer while the decode-cache budget lasts,
+  /// into `*scratch` (resized as needed, valid until the caller's next
+  /// decode) once it is spent or when decode_cache_bytes is 0.
   const DocId* SealedBlockIds(const PostingList& pl, uint32_t b,
                               std::vector<DocId>* scratch, bool* hit) const;
+
+  /// Calls fn(doc, weight) for every posting of `pl` in list order,
+  /// sealed blocks through SealedBlockIds. Returns how many sealed
+  /// blocks were served pinned (the rest count as decoded).
+  template <typename Fn>
+  uint64_t ForEachPosting(const PostingList& pl, Fn&& fn) const;
 
   /// Ensures pl->pinned has a slot for every sealed block (geometric
   /// growth, new slots null). Callers hold ingest_mu_.

@@ -58,15 +58,12 @@ struct Document {
 struct IndexMemoryUsage {
   /// Doc-id storage, split by format: `raw` counts uncompressed ids
   /// (whole lists when compression is off; just the unsealed tails when
-  /// it is on), `packed` counts the sealed blocks' encoded bytes
-  /// (bit-packed or varint). The old lumped `posting_doc_bytes` figure
-  /// is the sum, kept as a method so existing gates keep reading.
+  /// it is on), `packed` counts the sealed blocks' bit-packed bytes.
+  /// The old lumped `posting_doc_bytes` figure is the sum, kept as a
+  /// method so existing gates keep reading.
   uint64_t posting_doc_raw_bytes = 0;
   uint64_t posting_doc_packed_bytes = 0;
-  /// Posting-weight storage, split the same way: raw floats vs 8-bit
-  /// quantized sealed-block impacts (IndexOptions::quantize_weights).
-  uint64_t posting_weight_bytes = 0;
-  uint64_t posting_weight_quant_bytes = 0;
+  uint64_t posting_weight_bytes = 0;  ///< raw float weights
   uint64_t posting_block_bytes = 0;  ///< skip entries + impact order
   uint64_t dictionary_bytes = 0;     ///< term strings + interning table
   uint64_t norm_cache_bytes = 0;     ///< BM25 length-norm cache
@@ -81,12 +78,8 @@ struct IndexMemoryUsage {
   uint64_t posting_doc_bytes() const {
     return posting_doc_raw_bytes + posting_doc_packed_bytes;
   }
-  /// All posting-weight bytes regardless of format.
-  uint64_t posting_weight_total_bytes() const {
-    return posting_weight_bytes + posting_weight_quant_bytes;
-  }
   uint64_t total_bytes() const {
-    return posting_doc_bytes() + posting_weight_total_bytes() +
+    return posting_doc_bytes() + posting_weight_bytes +
            posting_block_bytes + dictionary_bytes + norm_cache_bytes +
            decode_cache_bytes;
   }
@@ -104,7 +97,7 @@ struct IndexMemoryUsage {
     return num_postings == 0
                ? 0.0
                : static_cast<double>(posting_doc_bytes() +
-                                     posting_weight_total_bytes() +
+                                     posting_weight_bytes +
                                      posting_block_bytes) /
                      static_cast<double>(num_postings);
   }
@@ -112,7 +105,6 @@ struct IndexMemoryUsage {
     posting_doc_raw_bytes += o.posting_doc_raw_bytes;
     posting_doc_packed_bytes += o.posting_doc_packed_bytes;
     posting_weight_bytes += o.posting_weight_bytes;
-    posting_weight_quant_bytes += o.posting_weight_quant_bytes;
     posting_block_bytes += o.posting_block_bytes;
     dictionary_bytes += o.dictionary_bytes;
     norm_cache_bytes += o.norm_cache_bytes;

@@ -4,7 +4,9 @@ namespace deepsurf {
 namespace net {
 
 Status SimulatedWeb::Register(std::shared_ptr<WebServer> server) {
-  const std::string& host = server->host();
+  // A copy, not a reference into *server: on a duplicate host the moved
+  // server dies with the rejected entry, before the error message is built.
+  const std::string host = server->host();
   if (host.empty()) {
     return Status::InvalidArgument("server has empty host");
   }

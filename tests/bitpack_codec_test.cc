@@ -184,7 +184,7 @@ TEST(BitpackCodecTest, ConsumesExactSizeWhenBufferContinues) {
 
 TEST(BitpackCodecTest, DenseGapOneBlockPacksToOneBitPerPosting) {
   // Consecutive doc ids — the dense-list best case — cost 1 bit each
-  // (width 1), an 8x win even over the varint codec's 1 byte.
+  // (width 1), an 8x win even over one byte per gap.
   std::vector<uint32_t> docs(128);
   for (size_t i = 0; i < docs.size(); ++i) {
     docs[i] = 1000 + static_cast<uint32_t>(i);

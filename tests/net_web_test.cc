@@ -51,6 +51,14 @@ TEST(SimulatedWebTest, DuplicateHostRejected) {
   ASSERT_TRUE(web.Register(std::make_shared<EchoServer>("a.com")).ok());
   EXPECT_TRUE(web.Register(std::make_shared<EchoServer>("a.com"))
                   .IsInvalidArgument());
+  // A host too long for std::string's inline buffer lives on the heap,
+  // so the rejection message must not read it through the server the
+  // failed registration already released.
+  const std::string long_host = "a-host-name-longer-than-the-sso-buffer.com";
+  ASSERT_TRUE(web.Register(std::make_shared<EchoServer>(long_host)).ok());
+  const Status dup = web.Register(std::make_shared<EchoServer>(long_host));
+  EXPECT_TRUE(dup.IsInvalidArgument());
+  EXPECT_NE(dup.message().find(long_host), std::string::npos);
 }
 
 TEST(SimulatedWebTest, UnknownHostIsNotFound) {

@@ -4,11 +4,10 @@
 // equal score doubles, same (score desc, doc id asc) tie-break order.
 // Exercised on randomized corpora across k well below, at, and above
 // the corpus size, at 1/3/8 shards, with and without the serve-layer
-// result cache, with postings compressed (bit-packed and delta+varint
-// sealed blocks) and raw, with weights quantized and exact, with the
-// impact-ordered warm-up on and off, at block sizes small enough to
-// force many sealed blocks plus an unsealed tail, plus the degenerate
-// inputs (empty query, unknown terms, k = 0).
+// result cache, with postings compressed (bit-packed sealed blocks) and
+// raw, with and without a pinned-decode budget, at block sizes small
+// enough to force many sealed blocks plus an unsealed tail, plus the
+// degenerate inputs (empty query, unknown terms, k = 0).
 
 #include <gtest/gtest.h>
 
@@ -97,40 +96,28 @@ TEST_P(PruningEquivalenceTest, PrunedTopKisByteIdenticalToExhaustive) {
   InvertedIndex exhaustive(exhaustive_opts);
   ASSERT_TRUE(exhaustive.InsertBatch(docs).ok());
 
-  // Pruned configurations: compression on/off crossed with the sealed-
-  // block codec (bit-packed vs varint), weight quantization, and the
-  // impact-ordered warm-up, at a block size small enough that common
-  // terms span many sealed blocks plus a tail (df up to 600 at block
-  // 16) and at the default block size where most lists are tail-only.
-  // Every one must be byte-identical to the exhaustive reference.
+  // Pruned configurations: compression on/off at a block size small
+  // enough that common terms span many sealed blocks plus a tail (df up
+  // to 600 at block 16) and at the default block size where most lists
+  // are tail-only. Every one must be byte-identical to the exhaustive
+  // reference.
   struct Config {
     bool compress;
     size_t block;
-    bool bitpack = true;
-    bool quantize = false;
-    bool warmup = true;
     size_t cache = 16u << 20;  // IndexOptions::decode_cache_bytes default
   };
   for (const Config& cfg :
-       {Config{false, 16}, Config{true, 16}, Config{true, 128},
-        Config{true, 16, /*bitpack=*/false},            // varint compat
-        Config{true, 16, true, /*quantize=*/true},      // full stack
-        Config{false, 16, true, /*quantize=*/true},     // quantize alone
-        Config{true, 16, true, true, /*warmup=*/false},
-        Config{true, 128, true, /*quantize=*/true},
+       {Config{false, 16}, Config{false, 128}, Config{true, 16},
+        Config{true, 128},
         // Pinned-decode edge cases: no budget (every touch decodes to
         // scratch) and a budget so small it exhausts mid-corpus (mixed
         // pinned/unpinned blocks within single lists).
-        Config{true, 16, true, false, true, /*cache=*/0},
-        Config{true, 16, true, true, true, /*cache=*/256}}) {
+        Config{true, 16, /*cache=*/0}, Config{true, 16, /*cache=*/256}}) {
     IndexOptions pruned_opts;
     pruned_opts.enable_pruning = true;
     pruned_opts.pruning_min_postings = 0;  // force maxscore on this corpus
     pruned_opts.compress_postings = cfg.compress;
     pruned_opts.posting_block_size = cfg.block;
-    pruned_opts.bitpack_postings = cfg.bitpack;
-    pruned_opts.quantize_weights = cfg.quantize;
-    pruned_opts.enable_impact_warmup = cfg.warmup;
     pruned_opts.decode_cache_bytes = cfg.cache;
     InvertedIndex pruned(pruned_opts);
     ASSERT_TRUE(pruned.InsertBatch(docs).ok());
@@ -143,9 +130,6 @@ TEST_P(PruningEquivalenceTest, PrunedTopKisByteIdenticalToExhaustive) {
                        pruned.SearchTerms(terms, k),
                        "seed " + std::to_string(GetParam()) + " k=" +
                            std::to_string(k) + (cfg.compress ? " comp" : "") +
-                           (cfg.bitpack ? " bitpack" : " varint") +
-                           (cfg.quantize ? " quant" : "") +
-                           (cfg.warmup ? "" : " nowarm") +
                            " block=" + std::to_string(cfg.block) +
                            " cache=" + std::to_string(cfg.cache));
       }
@@ -197,21 +181,21 @@ TEST_P(PruningEquivalenceTest, ShardedPrunedMatchesExhaustiveSingleIndex) {
   ASSERT_TRUE(reference.InsertBatch(docs).ok());
 
   auto queries = RandomQueries(GetParam() * 57 + 1, 80);
-  // Modes: raw, bit-packed compressed, and the full compressed +
-  // quantized + impact-ordered stack — each at 1/3/8 shards.
+  // Modes: raw, bit-packed compressed, and compressed with no pinned-
+  // decode budget — each at 1/3/8 shards.
   struct Mode {
     bool compress;
-    bool quantize;
+    size_t cache;
   };
   for (size_t shards : {1u, 3u, 8u}) {
     for (const Mode& mode :
-         {Mode{false, false}, Mode{true, false}, Mode{true, true}}) {
+         {Mode{false, 16u << 20}, Mode{true, 16u << 20}, Mode{true, 0}}) {
       ShardedIndexOptions sopts;
       sopts.num_shards = shards;
       sopts.index.enable_pruning = true;
       sopts.index.pruning_min_postings = 0;  // force maxscore per shard
       sopts.index.compress_postings = mode.compress;
-      sopts.index.quantize_weights = mode.quantize;
+      sopts.index.decode_cache_bytes = mode.cache;
       sopts.index.posting_block_size = 16;  // many sealed blocks + tails
       ShardedIndex sharded(sopts);
       ASSERT_TRUE(sharded.InsertBatch(docs).ok());
@@ -223,7 +207,7 @@ TEST_P(PruningEquivalenceTest, ShardedPrunedMatchesExhaustiveSingleIndex) {
                          std::to_string(shards) + " shards, k=" +
                              std::to_string(k) +
                              (mode.compress ? ", compressed" : "") +
-                             (mode.quantize ? ", quantized" : ""));
+                             ", cache=" + std::to_string(mode.cache));
         }
       }
     }
@@ -357,9 +341,9 @@ TEST(PruningEdgeCases, BlockBoundaryExactMultipleHasNoTail) {
 }
 
 TEST(PruningEdgeCases, AdaptiveFallbackIsUnobservableInResults) {
-  // The adaptive deep-k fallback flips which scorer answers, never what
-  // it answers: sweeping the fallback factor from "always exhaustive"
-  // to "always maxscore" must return identical bytes.
+  // The exhaustive fallbacks flip which scorer answers, never what it
+  // answers: the default thresholds, the deep-k fallback alone, and
+  // forced maxscore must all return identical bytes.
   auto docs = RandomDocs(77, 400);
   IndexOptions ex;
   ex.enable_pruning = false;
@@ -367,18 +351,18 @@ TEST(PruningEdgeCases, AdaptiveFallbackIsUnobservableInResults) {
   ASSERT_TRUE(reference.InsertBatch(docs).ok());
 
   auto queries = RandomQueries(78, 60);
-  for (size_t factor : {1u, 48u, 1000000u}) {
+  for (size_t min_postings : {IndexOptions{}.pruning_min_postings, size_t{1},
+                              size_t{0}}) {
     IndexOptions opts;
     opts.enable_pruning = true;
-    opts.pruning_min_postings = 1;  // adaptive heuristic armed
-    opts.pruning_k_fallback = factor;
+    opts.pruning_min_postings = min_postings;
     InvertedIndex idx(opts);
     ASSERT_TRUE(idx.InsertBatch(docs).ok());
     for (const auto& terms : queries) {
       for (size_t k : {1u, 10u, 100u}) {
         ExpectSameHits(reference.SearchTerms(terms, k),
                        idx.SearchTerms(terms, k),
-                       "fallback factor " + std::to_string(factor));
+                       "pruning_min_postings " + std::to_string(min_postings));
       }
     }
   }
@@ -406,33 +390,6 @@ TEST(PruningEdgeCases, MemoryUsageSumsAcrossShards) {
   EXPECT_GT(total.doc_bytes_per_posting(), 0.0);
   // Compressed doc-id storage beats 4 raw bytes per posting.
   EXPECT_LT(total.doc_bytes_per_posting(), 4.0);
-}
-
-TEST(PruningEdgeCases, QuantizedWeightsShrinkTheWeightStream) {
-  // Quantization's whole point: the sealed weight stream drops from
-  // 4 bytes/posting to 1 (the tail keeps floats), while results stay
-  // byte-identical (covered by the matrix tests above).
-  auto docs = RandomDocs(31, 400);
-  IndexOptions raw_opts;
-  InvertedIndex raw(raw_opts);
-  ASSERT_TRUE(raw.InsertBatch(docs).ok());
-  IndexOptions q_opts;
-  q_opts.quantize_weights = true;
-  q_opts.compress_postings = true;
-  q_opts.posting_block_size = 16;
-  InvertedIndex quantized(q_opts);
-  ASSERT_TRUE(quantized.InsertBatch(docs).ok());
-
-  auto rm = raw.MemoryUsage();
-  auto qm = quantized.MemoryUsage();
-  EXPECT_EQ(rm.num_postings, qm.num_postings);
-  EXPECT_EQ(rm.posting_weight_quant_bytes, 0u);
-  EXPECT_GT(qm.posting_weight_quant_bytes, 0u);
-  // Every sealed posting moved from a 4-byte float to a 1-byte cap.
-  EXPECT_LT(qm.posting_weight_total_bytes(),
-            rm.posting_weight_total_bytes());
-  EXPECT_EQ(rm.posting_weight_bytes,
-            qm.posting_weight_bytes + 4 * qm.posting_weight_quant_bytes);
 }
 
 TEST(PruningEdgeCases, SearchStatsCountDecodesAndSkips) {

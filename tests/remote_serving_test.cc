@@ -179,7 +179,6 @@ TEST(WireTest, StatsAndHealthRoundTrip) {
   health.memory.posting_doc_raw_bytes = 1234;
   health.memory.posting_doc_packed_bytes = 870;
   health.memory.posting_weight_bytes = 4321;
-  health.memory.posting_weight_quant_bytes = 123;
   health.memory.posting_block_bytes = 96;
   health.memory.dictionary_bytes = 555;
   health.memory.norm_cache_bytes = 44;
@@ -198,7 +197,6 @@ TEST(WireTest, StatsAndHealthRoundTrip) {
   EXPECT_EQ(h->memory.posting_doc_packed_bytes, 870u);
   EXPECT_EQ(h->memory.posting_doc_bytes(), 1234u + 870u);
   EXPECT_EQ(h->memory.posting_weight_bytes, 4321u);
-  EXPECT_EQ(h->memory.posting_weight_quant_bytes, 123u);
   EXPECT_EQ(h->memory.posting_block_bytes, 96u);
   EXPECT_EQ(h->memory.dictionary_bytes, 555u);
   EXPECT_EQ(h->memory.norm_cache_bytes, 44u);
