@@ -36,9 +36,18 @@ inline bool Better(const SearchHit& a, const SearchHit& b) {
 }
 
 /// First index >= `from` in span[0, n) with span[idx] >= target
-/// (galloping then binary search, so a DAAT cursor advances within its
+/// (galloping then binary search, so a cursor advances within its
 /// decoded window in O(log gap) rather than O(gap)).
 size_t GallopTo(const DocId* span, size_t n, size_t from, DocId target) {
+  // Probes mostly hop a few postings: count the ids below target in the
+  // next eight (sorted, so the count is the offset) without a branch
+  // per id, and gallop only past that.
+  if (from + 8 <= n) {
+    size_t below = 0;
+    for (size_t i = 0; i < 8; ++i) below += span[from + i] < target;
+    if (below < 8) return from + below;
+    from += 8;
+  }
   if (from >= n || span[from] >= target) return from;
   size_t lo = from;
   size_t step = 1;
@@ -185,6 +194,12 @@ void InvertedIndex::PostingCursor::SkipSegTo(DocId target) {
 }
 
 void InvertedIndex::PostingCursor::SeekTo(DocId target) {
+  // Fast path: the target is inside the loaded segment.
+  if (!stale && pos < win_end && window[win_end - win_begin - 1] >= target) {
+    pos = win_begin + static_cast<uint32_t>(GallopTo(
+              window, win_end - win_begin, pos - win_begin, target));
+    return;
+  }
   SkipSegTo(target);
   EnsureLoaded();
 }
@@ -647,14 +662,22 @@ std::vector<SearchHit> InvertedIndex::SearchMaxScore(
   double threshold = 0.0;  // meaningful only once the heap is full
   size_t ne = 0;           // order[0..ne) are non-essential
 
-  // The block-max skip test below only changes its verdict when one of
-  // its inputs moves: an essential cursor crossing into a new segment,
-  // the threshold rising, or a list demotion. `blockmax_dirty` tracks
-  // exactly that, so the steady state (no skip possible) costs one
-  // boolean test per frontier instead of a bound recomputation.
-  bool blockmax_dirty = true;
-
-  auto demote = [&] {
+  // Offers an exactly scored document to the top k; once the heap is
+  // full its weakest hit is the threshold, and every rise of it may
+  // demote more lists to non-essential.
+  auto offer = [&](const SearchHit& hit) {
+    if (heap.size() < k) {
+      heap.push_back(hit);
+      std::push_heap(heap.begin(), heap.end(), Better);
+      if (heap.size() < k) return;
+    } else if (Better(hit, heap.front())) {
+      std::pop_heap(heap.begin(), heap.end(), Better);
+      heap.back() = hit;
+      std::push_heap(heap.begin(), heap.end(), Better);
+    } else {
+      return;
+    }
+    threshold = heap.front().score;
     while (ne < m && prefix[ne] <= threshold) ++ne;
   };
 
@@ -675,8 +698,8 @@ std::vector<SearchHit> InvertedIndex::SearchMaxScore(
   // Impact-ordered warm-up: exactly score the documents of the few
   // highest-impact sealed blocks (per-term impact order, priced by each
   // block's idf-scaled score cap) and seed the heap with them, so the
-  // DAAT sweep below starts against a realistic threshold instead of
-  // raising it from zero one frontier at a time. Byte-identity is
+  // sweep below starts against a realistic threshold instead of
+  // raising it from zero one document at a time. Byte-identity is
   // unaffected: warm documents are scored with the exhaustive addition
   // sequence and skipped in the sweep (already fully considered), and
   // every bound test in this function strictly inflates (RoundUp), so a
@@ -733,18 +756,8 @@ std::vector<SearchHit> InvertedIndex::SearchMaxScore(
                     warm_docs.end());
     if (warm_docs.size() >= k) {
       for (DocId d : warm_docs) {
-        SearchHit cand_hit{d, ScoreDocExact(query, norms, d)};
-        if (heap.size() < k) {
-          heap.push_back(cand_hit);
-          std::push_heap(heap.begin(), heap.end(), Better);
-        } else if (Better(cand_hit, heap.front())) {
-          std::pop_heap(heap.begin(), heap.end(), Better);
-          heap.back() = cand_hit;
-          std::push_heap(heap.begin(), heap.end(), Better);
-        }
+        offer(SearchHit{d, ScoreDocExact(query, norms, d)});
       }
-      threshold = heap.front().score;
-      demote();
     } else {
       // Too few distinct documents to fill the heap: abandon the warm
       // start so the sweep below owns every document exactly once.
@@ -753,179 +766,137 @@ std::vector<SearchHit> InvertedIndex::SearchMaxScore(
     }
   }
 
+  // The sweep: the doc-id space in windows, lowest essential posting
+  // first. Inside a window each essential list is accumulated
+  // term-at-a-time into per-document partial scores — one sequential
+  // pass per list, no per-document cursor merge — and then the window's
+  // documents are visited in id order. A document whose partial plus
+  // the non-essential cap cannot beat the threshold is dropped; the
+  // rest probe the non-essential lists, highest cap first, re-checking
+  // what the still-unprobed prefix could add before each probe, and a
+  // survivor is scored exactly: its per-term contributions re-summed in
+  // query order, the exhaustive accumulator's addition sequence (the
+  // partial only ever feeds bounds). Every test is strictly inflated
+  // (RoundUp), so a document whose true score ties the threshold always
+  // reaches exact scoring.
+  // The sweep ends when every list is non-essential or exhausted: no
+  // remaining document can enter the top k.
   constexpr DocId kNoDoc = static_cast<DocId>(-1);
-  // The DAAT frontier only moves forward, so the warm-doc membership
-  // test is a monotone pointer into the sorted warm_docs — O(1)
-  // amortized against a binary search per frontier.
+  constexpr uint32_t kWindow = 1024;
+  std::vector<double> acc(kWindow, 0.0);
+  // Per query position: the posting weight each list holds for the
+  // document being visited — window slots for the accumulated lists,
+  // the probe's find for the others, 0 for none — so a survivor's exact
+  // score needs no forward-index lookup. A list's slots are only read
+  // while it is accumulated, and demotion never reverses, so each
+  // window clears just its accumulated rows.
+  std::vector<float> win_weight(m * kWindow, 0.0f);
+  std::vector<float> probe_weight(m, 0.0f);
+  std::vector<char> accumulated(m, 0);
+  uint64_t touched[kWindow / 64] = {};
+  // Windows ascend, so the warm-doc membership test is a monotone
+  // pointer into the sorted warm_docs.
   size_t warm_idx = 0;
-  // Essential cursors sitting ON the frontier, as indices into `order`,
-  // collected by the min-scan itself (argmin set, ascending). The
-  // contribution and advance passes walk this set instead of re-scanning
-  // every essential cursor — demote() only grows `ne`, never reorders
-  // `order`, so the indices stay valid across the heap update.
-  std::vector<size_t> match(m);
-  size_t match_n = 0;
   for (;;) {
-    // Document-at-a-time over the essential lists. Once every list is
-    // non-essential (their combined cap is at or below the threshold),
-    // no remaining document can enter the top k: the cap was strictly
-    // inflated (RoundUp), so a document whose true score merely TIES
-    // the threshold would keep its list essential — demotion proves a
-    // strict miss, independent of visit order (which warm-up perturbs).
-    DocId frontier = kNoDoc;
-    match_n = 0;
-    for (size_t j = ne; j < m; ++j) {
-      const QueryTerm& qt = query[order[j]];
-      if (qt.cursor.AtEnd()) continue;
-      const DocId d = qt.cursor.Doc();
-      if (d < frontier) {
-        frontier = d;
-        match[0] = j;
-        match_n = 1;
-      } else if (d == frontier) {
-        match[match_n++] = j;
-      }
-    }
-    if (frontier == kNoDoc) break;
-
-    // A warm-start document was already exactly scored against the heap;
-    // just move the cursors past it.
-    while (warm_idx < warm_docs.size() && warm_docs[warm_idx] < frontier) {
-      ++warm_idx;
-    }
-    if (warm_idx < warm_docs.size() && warm_docs[warm_idx] == frontier) {
-      for (size_t i = 0; i < match_n; ++i) {
-        QueryTerm& qt = query[order[match[i]]];
-        const uint32_t seg_before = qt.cursor.seg;
-        qt.cursor.Next();
-        if (qt.cursor.AtEnd() || qt.cursor.seg != seg_before) {
-          blockmax_dirty = true;
-        }
-      }
-      continue;
-    }
-
-    const bool full = heap.size() == k;
-
     // Block-max skip: cap what any document up to the nearest essential
     // block boundary could score — each essential list's current-block
-    // cap (their cursors sit at/after the frontier, so for ids up to
-    // their block's last doc, every matching posting is inside that
-    // block) plus the non-essential lists' list-level cap. If even that
-    // strictly inflated cap cannot exceed the threshold, every id in
-    // [frontier, boundary] is provably a strict miss (a potential tie
-    // would keep the cap above the threshold), and the cursors jump
-    // past the boundary without decoding anything.
-    if (full && blockmax_dirty) {
-      // The chain below runs on segment metadata alone (seg_bound,
-      // SegLastDoc): consecutive jumps use SkipSegTo, whose compressed
-      // landings are deferred, so a landing segment that this very test
-      // skips again on the next lap is never decoded. Only when no
-      // further skip is provable do the survivors materialize.
-      bool jumped = false;
-      for (;;) {
-        double cap = ne > 0 ? prefix[ne - 1] : 0.0;
-        DocId boundary = kNoDoc;
-        for (size_t j = ne; j < m; ++j) {
-          QueryTerm& qt = query[order[j]];
-          if (qt.cursor.AtEnd()) continue;
-          cap += seg_bound(qt);
-          boundary = std::min(boundary, qt.cursor.SegLastDoc());
-        }
-        if (boundary == kNoDoc || RoundUp(cap) > threshold) break;
-        jumped = true;
-        const DocId next = boundary + 1;  // ids < num_docs: no overflow
-        for (size_t j = ne; j < m; ++j) {
-          query[order[j]].cursor.SkipSegTo(next);
-        }
-      }
-      blockmax_dirty = false;
-      if (jumped) {
-        for (size_t j = ne; j < m; ++j) query[order[j]].cursor.EnsureLoaded();
-        continue;  // the frontier moved; recompute it
-      }
-    }
-
-    for (QueryTerm& qt : query) qt.at_frontier = false;
-
-    // Contributions from the essential lists sitting on the frontier.
-    // `match` already holds exactly the essential cursors on the
-    // frontier, in order-array order (the original scan order, so the
-    // addition sequence is unchanged).
-    const double frontier_norm = norms.Of(frontier);
-    double partial = 0.0;
-    for (size_t i = 0; i < match_n; ++i) {
-      QueryTerm& qt = query[order[match[i]]];
-      qt.contribution = Contribution(
-          qt.idf, static_cast<double>(qt.cursor.Weight()), frontier_norm,
-          k1);
-      qt.at_frontier = true;
-      partial += qt.contribution;
-    }
-
-    bool viable =
-        !full ||
-        RoundUp(partial + (ne > 0 ? prefix[ne - 1] : 0.0)) > threshold;
-    if (viable) {
-      // Probe the non-essential lists, highest cap first, re-checking
-      // what the still-unprobed prefix could add before each probe.
-      double running = partial;
-      for (size_t j = ne; j-- > 0;) {
-        if (full && RoundUp(running + prefix[j]) <= threshold) {
-          viable = false;
-          break;
-        }
+    // cap (their cursors sit at/before that boundary, so every matching
+    // posting up to it is inside that block) plus the non-essential
+    // lists' list-level cap. If even that strictly inflated cap cannot
+    // exceed the threshold, every id up to the boundary is provably a
+    // strict miss and the cursors jump past it. The chain runs on
+    // segment metadata alone (SkipSegTo defers compressed landings), so
+    // a landing segment the next lap skips again is never decoded.
+    DocId boundary = kNoDoc;
+    for (;;) {
+      double cap = ne > 0 ? prefix[ne - 1] : 0.0;
+      boundary = kNoDoc;
+      for (size_t j = ne; j < m; ++j) {
         QueryTerm& qt = query[order[j]];
-        qt.cursor.SeekTo(frontier);
-        if (!qt.cursor.AtEnd() && qt.cursor.Doc() == frontier) {
-          qt.contribution = Contribution(
-              qt.idf, static_cast<double>(qt.cursor.Weight()),
-              frontier_norm, k1);
-          qt.at_frontier = true;
-          running += qt.contribution;
-        }
+        if (qt.cursor.AtEnd()) continue;
+        cap += seg_bound(qt);
+        boundary = std::min(boundary, qt.cursor.SegLastDoc());
       }
+      if (boundary == kNoDoc || heap.size() < k ||
+          RoundUp(cap) > threshold) {
+        break;
+      }
+      const DocId next = boundary + 1;  // ids < num_docs: no overflow
+      for (size_t j = ne; j < m; ++j) query[order[j]].cursor.SkipSegTo(next);
     }
-    if (viable) {
-      // The candidate survives every bound: compute its real score by
-      // summing contributions in original query order — the exhaustive
-      // accumulator's exact addition sequence.
-      double score = 0.0;
-      for (const QueryTerm& qt : query) {
-        if (qt.at_frontier) score += qt.contribution;
-      }
-      SearchHit cand{frontier, score};
-      if (!full) {
-        heap.push_back(cand);
-        std::push_heap(heap.begin(), heap.end(), Better);
-        if (heap.size() == k) {
-          threshold = heap.front().score;
-          demote();
-          blockmax_dirty = true;
-        }
-      } else if (Better(cand, heap.front())) {
-        std::pop_heap(heap.begin(), heap.end(), Better);
-        heap.back() = cand;
-        std::push_heap(heap.begin(), heap.end(), Better);
-        threshold = heap.front().score;
-        demote();
-        blockmax_dirty = true;
+    if (boundary == kNoDoc) break;
+
+    // The window starts at the lowest essential posting and stops at the
+    // boundary, so the skip test above sees every segment it spans.
+    DocId lo = kNoDoc;
+    for (size_t j = ne; j < m; ++j) {
+      PostingCursor& c = query[order[j]].cursor;
+      c.EnsureLoaded();
+      if (!c.AtEnd()) lo = std::min(lo, c.Doc());
+    }
+    const DocId hi = lo + std::min(kWindow, boundary - lo + 1);
+    const size_t words = (hi - lo + 63) / 64;
+    std::fill(touched, touched + words, uint64_t{0});
+    const size_t ne_w = ne;  // lists [ne_w, m) are accumulated here
+    for (size_t j = 0; j < m; ++j) accumulated[order[j]] = j >= ne_w;
+    for (size_t j = ne_w; j < m; ++j) {
+      QueryTerm& qt = query[order[j]];
+      PostingCursor& c = qt.cursor;
+      float* slot = win_weight.data() + order[j] * kWindow;
+      std::fill(slot, slot + (hi - lo), 0.0f);
+      slot -= lo;
+      for (; !c.AtEnd() && c.Doc() < hi; c.Next()) {
+        const DocId d = c.Doc();
+        const uint32_t off = d - lo;
+        touched[off / 64] |= uint64_t{1} << (off % 64);
+        const float w = c.Weight();
+        slot[d] = w;
+        acc[off] += Contribution(qt.idf, static_cast<double>(w), norms.Of(d),
+                                 k1);
       }
     }
 
-    // Advance the matched essential cursors past the frontier. demote()
-    // above may have grown `ne`; a just-demoted cursor is left where it
-    // is (the non-essential probe will SeekTo past it later), exactly as
-    // the former full rescan over [ne, m) behaved.
-    for (size_t i = 0; i < match_n; ++i) {
-      if (match[i] < ne) continue;
-      QueryTerm& qt = query[order[match[i]]];
-      const uint32_t seg_before = qt.cursor.seg;
-      qt.cursor.Next();
-      // Crossing into a new segment (or off the list's end) changes
-      // the skip test's inputs; re-arm it.
-      if (qt.cursor.AtEnd() || qt.cursor.seg != seg_before) {
-        blockmax_dirty = true;
+    for (size_t w = 0; w < words; ++w) {
+      for (uint64_t bits = touched[w]; bits != 0; bits &= bits - 1) {
+        const uint32_t off =
+            static_cast<uint32_t>(w * 64 + __builtin_ctzll(bits));
+        const DocId d = lo + off;
+        double running = acc[off];
+        acc[off] = 0.0;
+        // A warm-start document was already exactly scored.
+        while (warm_idx < warm_docs.size() && warm_docs[warm_idx] < d) {
+          ++warm_idx;
+        }
+        if (warm_idx < warm_docs.size() && warm_docs[warm_idx] == d) continue;
+        const bool full = heap.size() == k;
+        const double d_norm = norms.Of(d);
+        bool viable = true;
+        for (size_t j = ne_w; j-- > 0;) {
+          if (full && RoundUp(running + prefix[j]) <= threshold) {
+            viable = false;
+            break;
+          }
+          QueryTerm& qt = query[order[j]];
+          qt.cursor.SeekTo(d);
+          const bool found = !qt.cursor.AtEnd() && qt.cursor.Doc() == d;
+          probe_weight[order[j]] = found ? qt.cursor.Weight() : 0.0f;
+          if (found) {
+            running += Contribution(
+                qt.idf, static_cast<double>(probe_weight[order[j]]), d_norm,
+                k1);
+          }
+        }
+        if (!viable || (full && RoundUp(running) <= threshold)) continue;
+        double score = 0.0;
+        for (size_t t = 0; t < m; ++t) {
+          const float w =
+              accumulated[t] ? win_weight[t * kWindow + off] : probe_weight[t];
+          if (w > 0.0f) {
+            score += Contribution(query[t].idf, static_cast<double>(w), d_norm,
+                                  k1);
+          }
+        }
+        offer(SearchHit{d, score});
       }
     }
   }

@@ -21,9 +21,12 @@
 // Each document's BM25 length normalization is precomputed into a flat
 // float array, so scoring never touches DocInfo or hashes a string.
 //
-// Top-k is answered by exact BLOCK-MAX maxscore pruning: document-at-
-// a-time with non-essential-list skipping driven by per-term score
-// upper bounds (from the max posting weight kept at ingest), plus
+// Top-k is answered by exact BLOCK-MAX maxscore pruning, swept over
+// doc-id windows: the essential lists are accumulated term-at-a-time
+// within a window, and only documents whose partial score plus the
+// non-essential bound can still beat the threshold probe the
+// non-essential lists (per-term score upper bounds come from the max
+// posting weight kept at ingest), plus
 // whole-block skips driven by the per-block max weights — when the
 // essential lists' current block caps plus the non-essential bound
 // cannot beat the top-k threshold, the scorer jumps past every doc up
@@ -281,7 +284,7 @@ class InvertedIndex : public WritableIndex {
     }
   };
 
-  /// DAAT cursor over one posting list. Presents the list as a flat
+  /// Cursor over one posting list. Presents the list as a flat
   /// ascending sequence while touching one "segment" (sealed block or
   /// the tail) at a time: sealed blocks are resolved through
   /// SealedBlockIds only when the cursor lands in them, so a SeekTo
@@ -367,13 +370,11 @@ class InvertedIndex : public WritableIndex {
     TermId tid;  ///< for exact-weight lookups in the forward index
     double idf;
     double upper_bound;    ///< conservative per-doc score cap (rounded up)
-    PostingCursor cursor;  ///< DAAT position (maxscore only)
+    PostingCursor cursor;  ///< sweep position (maxscore only)
     /// Cached block-max score cap for the segment `cursor` sits in,
     /// recomputed when the cursor crosses a segment boundary.
     double seg_bound = 0.0;
     uint32_t seg_of_bound = std::numeric_limits<uint32_t>::max();
-    double contribution = 0.0;  ///< cached score at the current frontier
-    bool at_frontier = false;
   };
 
   /// AddDocument without the ingest lock (callers hold ingest_mu_).

@@ -2,13 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "index/analyzer.h"
 #include "index/inverted_index.h"
 #include "util/hash.h"
+#include "util/rng.h"
 
 namespace deepsurf {
 namespace index {
@@ -195,6 +200,77 @@ TEST_F(IndexTest, CharacteristicTermsPreferHostSpecificVocab) {
   auto terms = index_.CharacteristicTerms("a.com", 3);
   ASSERT_FALSE(terms.empty());
   EXPECT_EQ(terms[0], "plumbing");
+}
+
+// Reference for CharacteristicTerms: walk every term's full posting
+// list (built here straight from the documents, body counts then title
+// boosts, as ingest weighs them) and sum the weights of the host's
+// postings in doc-id order. The index aggregates over the host's
+// forward lists instead; the ranking — order and tie-break — must match.
+TEST_F(IndexTest, CharacteristicTermsMatchFullPostingsWalk) {
+  const std::vector<std::string> vocab = {
+      "alpha",  "bravo",  "charlie", "delta",   "echo",   "foxtrot",
+      "golf",   "hotel",  "india",   "juliet",  "kilo",   "lima",
+      "mike",   "november", "oscar", "papa",    "quebec", "romeo",
+      "sierra", "tango",  "uniform", "victor",  "whiskey", "xray",
+      "yankee", "zulu",   "amber",   "basalt",  "cobalt", "dune"};
+  const std::vector<std::string> hosts = {"a.com", "b.com", "c.com",
+                                          "d.com", "e.com"};
+  const double title_boost = IndexOptions{}.title_boost;
+  struct Posting {
+    DocId doc;
+    float weight;
+  };
+  std::map<std::string, std::vector<Posting>> postings;
+  std::vector<std::string> doc_host;
+  Rng rng(7);
+  for (int i = 0; i < 400; ++i) {
+    const std::string& host = hosts[rng.Uniform(hosts.size())];
+    // Host-skewed vocabulary, so hosts have distinct characteristic
+    // terms, plus a shared tail that produces ties.
+    const size_t skew = 5 * static_cast<size_t>(&host - hosts.data());
+    std::string body = "doc" + std::to_string(i);
+    for (int w = 0, n = 4 + static_cast<int>(rng.Uniform(12)); w < n; ++w) {
+      body += " " + (rng.Bernoulli(0.6) ? vocab[skew + rng.Uniform(5)]
+                                        : vocab[rng.Uniform(vocab.size())]);
+    }
+    std::string title =
+        rng.Bernoulli(0.3) ? vocab[rng.Uniform(vocab.size())] : "";
+    const DocId id = Add("u" + std::to_string(i), title, body, false, host);
+    ASSERT_EQ(id, doc_host.size());
+    doc_host.push_back(host);
+    std::map<std::string, double> weights;
+    for (const auto& t : ContentTokens(body)) weights[t] += 1.0;
+    for (const auto& t : ContentTokens(title)) weights[t] += title_boost;
+    for (const auto& [term, w] : weights) {
+      postings[term].push_back(Posting{id, static_cast<float>(w)});
+    }
+  }
+  const double n = static_cast<double>(doc_host.size());
+  for (const std::string& host : hosts) {
+    std::vector<std::pair<double, std::string>> ranked;
+    for (const auto& [term, list] : postings) {
+      double tf = 0.0;
+      for (const Posting& p : list) {
+        if (doc_host[p.doc] == host) tf += static_cast<double>(p.weight);
+      }
+      if (tf == 0.0) continue;
+      const double df = static_cast<double>(list.size());
+      ranked.emplace_back(tf * std::log(1.0 + n / df), term);
+    }
+    std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+      if (a.first != b.first) return a.first > b.first;
+      return a.second < b.second;
+    });
+    for (size_t k : {size_t{1}, size_t{15}, ranked.size()}) {
+      std::vector<std::string> want;
+      for (size_t i = 0; i < k && i < ranked.size(); ++i) {
+        want.push_back(ranked[i].second);
+      }
+      EXPECT_EQ(index_.CharacteristicTerms(host, k), want)
+          << host << " k=" << k;
+    }
+  }
 }
 
 TEST_F(IndexTest, DeterministicTieBreakByDocId) {

@@ -399,12 +399,13 @@ TEST(PruningEdgeCases, SearchStatsCountDecodesAndSkips) {
   opts.pruning_min_postings = 0;
   opts.compress_postings = true;
   opts.posting_block_size = 16;
+  // No decode budget: every sealed-block read is a decode, so the
+  // counts below compare decode work, not decode-cache warmth.
+  opts.decode_cache_bytes = 0;
   InvertedIndex pruned(opts);
   ASSERT_TRUE(pruned.InsertBatch(docs).ok());
-  IndexOptions ex_opts;
+  IndexOptions ex_opts = opts;
   ex_opts.enable_pruning = false;
-  ex_opts.compress_postings = true;
-  ex_opts.posting_block_size = 16;
   InvertedIndex exhaustive(ex_opts);
   ASSERT_TRUE(exhaustive.InsertBatch(docs).ok());
 
@@ -422,6 +423,15 @@ TEST(PruningEdgeCases, SearchStatsCountDecodesAndSkips) {
   // The exhaustive scorer decodes every sealed block of every resolved
   // term and skips none; pruning must decode strictly less and show its
   // skips on this corpus (common terms span ~30 blocks at block 16).
+  uint64_t sealed_blocks = 0;
+  for (const auto& terms : queries) {
+    for (const auto& t : terms) {
+      sealed_blocks += exhaustive.DocFrequency(t) / 16;
+    }
+  }
+  EXPECT_EQ(es.blocks_decoded, sealed_blocks);
+  EXPECT_EQ(es.decode_cache_hits, 0u);
+  EXPECT_EQ(ps.decode_cache_hits, 0u);
   EXPECT_EQ(es.blocks_skipped, 0u);
   EXPECT_GT(ps.blocks_skipped, 0u);
   EXPECT_LT(ps.blocks_decoded, es.blocks_decoded);
