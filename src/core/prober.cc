@@ -1,7 +1,6 @@
 #include "core/prober.h"
 
 #include <algorithm>
-#include <set>
 
 #include "extract/record_extractor.h"
 #include "html/parser.h"
@@ -22,19 +21,21 @@ ProbeResult ReducePage(int status_code, const std::string& body) {
   // sort-permuted page has the same signature — presentation inputs thus
   // test as uninformative.
   std::vector<uint64_t> hashes;
-  std::string region_text;
   for (const auto& rec : extraction.records) {
-    std::string joined = rec.Joined();
+    const std::string joined = rec.Joined();
     hashes.push_back(Fnv1a64(joined));
-    region_text += joined;
-    region_text.push_back('\n');
-    // Per-record distinct terms feed the record-document frequencies.
-    std::set<std::string> record_terms;
-    for (auto& tok : index::ContentTokens(joined)) {
-      record_terms.insert(std::move(tok));
-    }
-    for (const auto& term : record_terms) {
-      out.record_document_frequencies[term] += 1.0;
+    // One tokenization per record feeds both term maps: the record
+    // region is the records' texts joined by newlines, and a newline
+    // splits tokens, so its term frequencies are the per-record counts
+    // summed.
+    std::vector<std::string> tokens = index::ContentTokens(joined);
+    std::sort(tokens.begin(), tokens.end());
+    for (size_t i = 0; i < tokens.size();) {
+      size_t run = i + 1;
+      while (run < tokens.size() && tokens[run] == tokens[i]) ++run;
+      out.term_frequencies[tokens[i]] += static_cast<double>(run - i);
+      out.record_document_frequencies[tokens[i]] += 1.0;
+      i = run;
     }
   }
   std::sort(hashes.begin(), hashes.end());
@@ -42,7 +43,6 @@ ProbeResult ReducePage(int status_code, const std::string& body) {
   for (uint64_t h : hashes) sig = HashCombine(sig, h);
   out.signature = sig;
   out.record_hashes = std::move(hashes);
-  out.term_frequencies = index::TermFrequencies(region_text);
   return out;
 }
 

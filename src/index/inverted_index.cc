@@ -73,6 +73,28 @@ size_t GallopTo(const DocId* span, size_t n, size_t from, DocId target) {
 /// machinery for no pruning.
 constexpr size_t kPruningKFallback = 24;
 
+/// Per-thread scoring scratch, reused across queries so a warmed-up
+/// thread scores without allocating beyond its result vector.
+struct SearchScratch {
+  /// Dense score accumulator: indexed by doc id in the exhaustive scan
+  /// (grown to the largest index the thread has searched), by window
+  /// offset in the maxscore sweep. All-zero between queries — both
+  /// scorers reset every slot they touched while selecting — so no
+  /// query pays an O(num_docs) clear.
+  std::vector<double> acc;
+  /// Exhaustive scan: the doc ids `acc` holds, in first-touch order.
+  std::vector<DocId> touched;
+  /// Maxscore: per query position, the window's posting weights.
+  std::vector<float> win_weight;
+  /// Maxscore warm-up: (doc, one term's contribution) from warm blocks.
+  std::vector<SearchHit> warm;
+};
+
+SearchScratch& ThreadScratch() {
+  thread_local SearchScratch scratch;
+  return scratch;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------
@@ -531,7 +553,6 @@ std::vector<SearchHit> InvertedIndex::SearchTermsScored(
                             : static_cast<double>(pl.count);
     QueryTerm qt;
     qt.postings = &pl;
-    qt.tid = it->second;
     qt.idf = std::log(1.0 + (n - df + 0.5) / (df + 0.5));
     qt.upper_bound = RoundUp(Contribution(
         qt.idf, static_cast<double>(pl.max_weight), min_norm, k1));
@@ -546,17 +567,19 @@ std::vector<SearchHit> InvertedIndex::SearchTermsScored(
 
   // Pruning cannot help when k covers everything that could match, and
   // does not pay below a postings volume where the exhaustive scan is
-  // already cheap. On top of those, the adaptive deep-k fallback: the
-  // top-k threshold only rises high enough to prune when k is a small
-  // fraction of the candidate pool, so for deep k on small pools the
-  // exhaustive scan wins (see kPruningKFallback). The
-  // exhaustive scorer doubles as the explicit fallback — results are
-  // byte-identical either way, so this whole decision is unobservable
-  // in the output.
+  // already cheap. Nor does it pay for a single term: the scan then
+  // touches each posting once with no merge and no probes, which
+  // maxscore's window and block-max machinery cannot undercut. On top
+  // of those, the adaptive deep-k fallback: the top-k threshold only
+  // rises high enough to prune when k is a small fraction of the
+  // candidate pool, so for deep k on small pools the exhaustive scan
+  // wins (see kPruningKFallback). The exhaustive scorer doubles as the
+  // explicit fallback — results are byte-identical either way, so this
+  // whole decision is unobservable in the output.
   bool prune =
       options_.enable_pruning && k < docs_.size() && k < total_postings;
   if (prune && options_.pruning_min_postings > 0) {
-    if (total_postings < options_.pruning_min_postings) {
+    if (total_postings < options_.pruning_min_postings || query.size() == 1) {
       prune = false;
     } else {
       const size_t pool = std::min(total_postings, docs_.size());
@@ -566,48 +589,30 @@ std::vector<SearchHit> InvertedIndex::SearchTermsScored(
     }
   }
   if (!prune) {
-    return SearchExhaustive(query, norms, total_postings, k);
+    return SearchExhaustive(query, norms, k);
   }
   return SearchMaxScore(query, norms, min_norm, k);
 }
 
 std::vector<SearchHit> InvertedIndex::SearchExhaustive(
     const std::vector<QueryTerm>& query, const NormView& norms,
-    size_t total_postings, size_t k) const {
+    size_t k) const {
   const double k1 = options_.bm25_k1;
-  std::vector<SearchHit> hits;
+  SearchScratch& scratch = ThreadScratch();
+  if (scratch.acc.size() < docs_.size()) scratch.acc.resize(docs_.size());
+  double* acc = scratch.acc.data();
+  std::vector<DocId>& touched = scratch.touched;
+  touched.clear();
   uint64_t pinned_hits = 0;
 
   // Accumulate per document, terms in query order (the addition sequence
   // is part of the byte-identity contract). Contributions are strictly
-  // positive, so 0 doubles as the "untouched" sentinel in the flat
-  // accumulator. A sparse map accumulator is used when the query touches
-  // far fewer documents than the corpus holds — same additions in the
-  // same per-document order, so identical score bits either way.
-  if (docs_.size() > 4096 && total_postings * 16 < docs_.size()) {
-    std::unordered_map<DocId, double> acc;
-    acc.reserve(total_postings);
-    for (const QueryTerm& qt : query) {
-      pinned_hits += ForEachPosting(*qt.postings, [&](DocId d, float w) {
-        acc[d] += Contribution(qt.idf, static_cast<double>(w), norms.Of(d),
-                               k1);
-      });
-    }
-    hits.reserve(acc.size());
-    for (const auto& [d, score] : acc) hits.push_back(SearchHit{d, score});
-  } else {
-    std::vector<double> acc(docs_.size(), 0.0);
-    std::vector<DocId> touched;
-    touched.reserve(total_postings);
-    for (const QueryTerm& qt : query) {
-      pinned_hits += ForEachPosting(*qt.postings, [&](DocId d, float w) {
-        if (acc[d] == 0.0) touched.push_back(d);
-        acc[d] += Contribution(qt.idf, static_cast<double>(w), norms.Of(d),
-                               k1);
-      });
-    }
-    hits.reserve(touched.size());
-    for (DocId d : touched) hits.push_back(SearchHit{d, acc[d]});
+  // positive, so 0 doubles as the "untouched" sentinel.
+  for (const QueryTerm& qt : query) {
+    pinned_hits += ForEachPosting(*qt.postings, [&](DocId d, float w) {
+      if (acc[d] == 0.0) touched.push_back(d);
+      acc[d] += Contribution(qt.idf, static_cast<double>(w), norms.Of(d), k1);
+    });
   }
   uint64_t sealed_blocks = 0;
   for (const QueryTerm& qt : query) sealed_blocks += qt.postings->blocks.size();
@@ -615,14 +620,25 @@ std::vector<SearchHit> InvertedIndex::SearchExhaustive(
                                  std::memory_order_relaxed);
   stat_cache_hits_.fetch_add(pinned_hits, std::memory_order_relaxed);
 
-  if (hits.size() > k) {
-    std::partial_sort(hits.begin(), hits.begin() + static_cast<ptrdiff_t>(k),
-                      hits.end(), Better);
-    hits.resize(k);
-  } else {
-    std::sort(hits.begin(), hits.end(), Better);
+  // Bounded top-k under the ranking order: the heap front is the weakest
+  // kept hit, so a full heap rejects a candidate with one comparison.
+  // Better is total, so the selection does not depend on touch order.
+  std::vector<SearchHit> heap;
+  heap.reserve(std::min(k, touched.size()));
+  for (DocId d : touched) {
+    const SearchHit hit{d, acc[d]};
+    acc[d] = 0.0;
+    if (heap.size() < k) {
+      heap.push_back(hit);
+      std::push_heap(heap.begin(), heap.end(), Better);
+    } else if (Better(hit, heap.front())) {
+      std::pop_heap(heap.begin(), heap.end(), Better);
+      heap.back() = hit;
+      std::push_heap(heap.begin(), heap.end(), Better);
+    }
   }
-  return hits;
+  std::sort_heap(heap.begin(), heap.end(), Better);
+  return heap;
 }
 
 std::vector<SearchHit> InvertedIndex::SearchMaxScore(
@@ -656,15 +672,26 @@ std::vector<SearchHit> InvertedIndex::SearchMaxScore(
   }
 
   // Min-heap of the current top k under the ranking order: heap front is
-  // the weakest kept hit, i.e. the pruning threshold.
+  // the weakest kept hit.
   std::vector<SearchHit> heap;
   heap.reserve(k + 1);
-  double threshold = 0.0;  // meaningful only once the heap is full
-  size_t ne = 0;           // order[0..ne) are non-essential
+  // The pruning threshold, once `armed`: a lower bound on the final k-th
+  // score — the warm-up's seed, then the full heap's front whenever that
+  // is higher. A document whose strictly inflated bound cannot exceed it
+  // cannot enter the top k.
+  double threshold = 0.0;
+  bool armed = false;
+  size_t ne = 0;  // order[0..ne) are non-essential
+  auto raise = [&](double t) {
+    if (armed && t <= threshold) return;
+    threshold = t;
+    armed = true;
+    while (ne < m && prefix[ne] <= threshold) ++ne;
+  };
 
   // Offers an exactly scored document to the top k; once the heap is
-  // full its weakest hit is the threshold, and every rise of it may
-  // demote more lists to non-essential.
+  // full its weakest hit bounds the threshold from below, and every
+  // rise of it may demote more lists to non-essential.
   auto offer = [&](const SearchHit& hit) {
     if (heap.size() < k) {
       heap.push_back(hit);
@@ -677,8 +704,7 @@ std::vector<SearchHit> InvertedIndex::SearchMaxScore(
     } else {
       return;
     }
-    threshold = heap.front().score;
-    while (ne < m && prefix[ne] <= threshold) ++ne;
+    raise(heap.front().score);
   };
 
   // Block-max score cap of the segment a term's cursor sits in,
@@ -695,20 +721,22 @@ std::vector<SearchHit> InvertedIndex::SearchMaxScore(
     return qt.seg_bound;
   };
 
-  // Impact-ordered warm-up: exactly score the documents of the few
+  // Impact-ordered warm-up: seed the threshold from the few
   // highest-impact sealed blocks (per-term impact order, priced by each
-  // block's idf-scaled score cap) and seed the heap with them, so the
-  // sweep below starts against a realistic threshold instead of
-  // raising it from zero one document at a time. Byte-identity is
-  // unaffected: warm documents are scored with the exhaustive addition
-  // sequence and skipped in the sweep (already fully considered), and
-  // every bound test in this function strictly inflates (RoundUp), so a
-  // document whose true score ties the warm threshold still reaches
-  // exact scoring where the (score, doc id) order decides — seeding
-  // out of doc-id order therefore cannot change the unique top k.
+  // block's idf-scaled score cap), so the sweep starts against a
+  // realistic threshold instead of raising it from zero one document at
+  // a time. A warm document's single-term contribution is the very
+  // Contribution value the exhaustive accumulator adds for it, and
+  // adding positive values in floating point never lowers a sum, so
+  // each is a lower bound on that document's final score; the k-th
+  // largest over k distinct documents is then a lower bound on the
+  // final k-th score. Warm documents are not scored here: the sweep
+  // scores them like any other document, and every bound test strictly
+  // inflates (RoundUp), so a document that ties the seed still reaches
+  // exact scoring where the (score, doc id) order decides.
+  SearchScratch& scratch = ThreadScratch();
   uint64_t warm_decoded = 0;
   uint64_t warm_cache_hits = 0;
-  std::vector<DocId> warm_docs;
   constexpr size_t kWarmBlocksMax = 4;
   struct WarmBlock {
     double pri;
@@ -728,41 +756,54 @@ std::vector<SearchHit> InvertedIndex::SearchMaxScore(
           t, b});
     }
   }
-  std::sort(cand.begin(), cand.end(),
-            [](const WarmBlock& a, const WarmBlock& b) {
-              if (a.pri != b.pri) return a.pri > b.pri;
-              if (a.t != b.t) return a.t < b.t;
-              return a.b < b.b;
-            });
-  // Only worth it when the warmed blocks can fill the heap — a
-  // partially filled heap has no threshold, so the work would prune
-  // nothing.
-  if (std::min(cand.size(), kWarmBlocksMax) * block >= k) {
-    std::vector<DocId> scratch;
-    size_t taken = 0;
-    for (const WarmBlock& wb : cand) {
-      if (taken >= kWarmBlocksMax || warm_docs.size() >= k) break;
+  // The fewest blocks that can hold k documents: more would raise the
+  // seed a little but decode blocks the sweep may skip. Fewer than k
+  // documents give no seed, so the work would prune nothing.
+  const size_t warm_blocks =
+      std::min({cand.size(), kWarmBlocksMax, (k + block - 1) / block});
+  if (warm_blocks * block >= k) {
+    std::partial_sort(cand.begin(), cand.begin() + warm_blocks, cand.end(),
+                      [](const WarmBlock& a, const WarmBlock& b) {
+                        if (a.pri != b.pri) return a.pri > b.pri;
+                        if (a.t != b.t) return a.t < b.t;
+                        return a.b < b.b;
+                      });
+    std::vector<SearchHit>& warm = scratch.warm;
+    warm.clear();
+    std::vector<DocId> decode_buf;
+    for (size_t i = 0; i < warm_blocks; ++i) {
+      const QueryTerm& qt = query[cand[i].t];
       // Warm blocks are per-term impact maxima — the hottest blocks in
       // the index — so with a decode budget they all but live pinned.
       bool hit = false;
       const DocId* ids =
-          SealedBlockIds(*query[wb.t].postings, wb.b, &scratch, &hit);
-      warm_docs.insert(warm_docs.end(), ids, ids + block);
+          SealedBlockIds(*qt.postings, cand[i].b, &decode_buf, &hit);
       hit ? ++warm_cache_hits : ++warm_decoded;
-      ++taken;
-    }
-    std::sort(warm_docs.begin(), warm_docs.end());
-    warm_docs.erase(std::unique(warm_docs.begin(), warm_docs.end()),
-                    warm_docs.end());
-    if (warm_docs.size() >= k) {
-      for (DocId d : warm_docs) {
-        offer(SearchHit{d, ScoreDocExact(query, norms, d)});
+      const float* w = qt.postings->weights.data() + size_t{cand[i].b} * block;
+      for (uint32_t p = 0; p < block; ++p) {
+        warm.push_back(SearchHit{
+            ids[p], Contribution(qt.idf, static_cast<double>(w[p]),
+                                 norms.Of(ids[p]), k1)});
       }
-    } else {
-      // Too few distinct documents to fill the heap: abandon the warm
-      // start so the sweep below owns every document exactly once.
-      warm_docs.clear();
-      heap.clear();
+    }
+    // One entry per document (its largest contribution), then the k-th
+    // largest.
+    std::sort(warm.begin(), warm.end(),
+              [](const SearchHit& a, const SearchHit& b) {
+                if (a.doc != b.doc) return a.doc < b.doc;
+                return a.score > b.score;
+              });
+    warm.erase(std::unique(warm.begin(), warm.end(),
+                           [](const SearchHit& a, const SearchHit& b) {
+                             return a.doc == b.doc;
+                           }),
+               warm.end());
+    if (warm.size() >= k) {
+      std::nth_element(warm.begin(), warm.begin() + (k - 1), warm.end(),
+                       [](const SearchHit& a, const SearchHit& b) {
+                         return a.score > b.score;
+                       });
+      raise(warm[k - 1].score);
     }
   }
 
@@ -783,20 +824,21 @@ std::vector<SearchHit> InvertedIndex::SearchMaxScore(
   // remaining document can enter the top k.
   constexpr DocId kNoDoc = static_cast<DocId>(-1);
   constexpr uint32_t kWindow = 1024;
-  std::vector<double> acc(kWindow, 0.0);
+  if (scratch.acc.size() < kWindow) scratch.acc.resize(kWindow);
+  double* acc = scratch.acc.data();
   // Per query position: the posting weight each list holds for the
   // document being visited — window slots for the accumulated lists,
   // the probe's find for the others, 0 for none — so a survivor's exact
   // score needs no forward-index lookup. A list's slots are only read
   // while it is accumulated, and demotion never reverses, so each
   // window clears just its accumulated rows.
-  std::vector<float> win_weight(m * kWindow, 0.0f);
+  if (scratch.win_weight.size() < m * kWindow) {
+    scratch.win_weight.resize(m * kWindow);
+  }
+  float* win_weight = scratch.win_weight.data();
   std::vector<float> probe_weight(m, 0.0f);
   std::vector<char> accumulated(m, 0);
   uint64_t touched[kWindow / 64] = {};
-  // Windows ascend, so the warm-doc membership test is a monotone
-  // pointer into the sorted warm_docs.
-  size_t warm_idx = 0;
   for (;;) {
     // Block-max skip: cap what any document up to the nearest essential
     // block boundary could score — each essential list's current-block
@@ -817,8 +859,7 @@ std::vector<SearchHit> InvertedIndex::SearchMaxScore(
         cap += seg_bound(qt);
         boundary = std::min(boundary, qt.cursor.SegLastDoc());
       }
-      if (boundary == kNoDoc || heap.size() < k ||
-          RoundUp(cap) > threshold) {
+      if (boundary == kNoDoc || !armed || RoundUp(cap) > threshold) {
         break;
       }
       const DocId next = boundary + 1;  // ids < num_docs: no overflow
@@ -842,7 +883,7 @@ std::vector<SearchHit> InvertedIndex::SearchMaxScore(
     for (size_t j = ne_w; j < m; ++j) {
       QueryTerm& qt = query[order[j]];
       PostingCursor& c = qt.cursor;
-      float* slot = win_weight.data() + order[j] * kWindow;
+      float* slot = win_weight + order[j] * kWindow;
       std::fill(slot, slot + (hi - lo), 0.0f);
       slot -= lo;
       for (; !c.AtEnd() && c.Doc() < hi; c.Next()) {
@@ -863,16 +904,10 @@ std::vector<SearchHit> InvertedIndex::SearchMaxScore(
         const DocId d = lo + off;
         double running = acc[off];
         acc[off] = 0.0;
-        // A warm-start document was already exactly scored.
-        while (warm_idx < warm_docs.size() && warm_docs[warm_idx] < d) {
-          ++warm_idx;
-        }
-        if (warm_idx < warm_docs.size() && warm_docs[warm_idx] == d) continue;
-        const bool full = heap.size() == k;
         const double d_norm = norms.Of(d);
         bool viable = true;
         for (size_t j = ne_w; j-- > 0;) {
-          if (full && RoundUp(running + prefix[j]) <= threshold) {
+          if (armed && RoundUp(running + prefix[j]) <= threshold) {
             viable = false;
             break;
           }
@@ -886,7 +921,7 @@ std::vector<SearchHit> InvertedIndex::SearchMaxScore(
                 k1);
           }
         }
-        if (!viable || (full && RoundUp(running) <= threshold)) continue;
+        if (!viable || (armed && RoundUp(running) <= threshold)) continue;
         double score = 0.0;
         for (size_t t = 0; t < m; ++t) {
           const float w =
@@ -915,28 +950,6 @@ std::vector<SearchHit> InvertedIndex::SearchMaxScore(
 
   std::sort(heap.begin(), heap.end(), Better);
   return heap;
-}
-
-float InvertedIndex::ForwardWeight(TermId tid, DocId d) const {
-  const auto& fwd = forward_[d];
-  auto it = std::lower_bound(
-      fwd.begin(), fwd.end(), tid,
-      [](const std::pair<TermId, float>& p, TermId t) { return p.first < t; });
-  return it != fwd.end() && it->first == tid ? it->second : 0.0f;
-}
-
-double InvertedIndex::ScoreDocExact(const std::vector<QueryTerm>& query,
-                                    const NormView& norms, DocId d) const {
-  const double k1 = options_.bm25_k1;
-  const double norm = norms.Of(d);
-  double score = 0.0;
-  for (const QueryTerm& qt : query) {
-    const float w = ForwardWeight(qt.tid, d);
-    if (w > 0.0f) {
-      score += Contribution(qt.idf, static_cast<double>(w), norm, k1);
-    }
-  }
-  return score;
 }
 
 DocInfo InvertedIndex::doc(DocId id) const {

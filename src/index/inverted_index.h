@@ -21,7 +21,11 @@
 // Each document's BM25 length normalization is precomputed into a flat
 // float array, so scoring never touches DocInfo or hashes a string.
 //
-// Top-k is answered by exact BLOCK-MAX maxscore pruning, swept over
+// Top-k is answered by one of two scorers. The exhaustive scan adds
+// every posting into a per-thread dense accumulator and keeps the top k
+// in a bounded heap; it serves single-term queries, tiny candidate
+// pools and deep k (see SearchTermsScored). Everything else runs exact
+// BLOCK-MAX maxscore pruning, swept over
 // doc-id windows: the essential lists are accumulated term-at-a-time
 // within a window, and only documents whose partial score plus the
 // non-essential bound can still beat the threshold probe the
@@ -36,7 +40,8 @@
 // bits, the same (score desc, doc id asc) tie-break order — for every
 // query and every k, compressed or not. This holds because (a) all
 // bounds (list-level and block-level) are STRICTLY inflated before any
-// comparison, so a document is skipped only when its true score
+// comparison, and the threshold they are compared with never exceeds
+// the final k-th score, so a document is skipped only when its true score
 // provably cannot even tie into the top-k — a potential tie always
 // survives the bounds and reaches exact scoring, where the total
 // (score desc, doc id asc) order decides — and (b) a surviving
@@ -85,11 +90,12 @@ struct IndexOptions {
   bool enable_pruning = true;
   /// Below this many candidate postings per query, the exhaustive scan
   /// is cheaper than maxscore's cursor machinery and is used even with
-  /// pruning enabled (tiny corpora, rare-term-only queries). Above it, a
-  /// deep-k fallback still routes queries whose k is a sizable fraction
-  /// of the candidate pool to the exhaustive scan (see SearchTermsScored).
-  /// 0 forces maxscore whenever pruning is on AND disables that deep-k
-  /// fallback (tests use this to pin the pruned path).
+  /// pruning enabled (tiny corpora, rare-term-only queries). Above it,
+  /// single-term queries and queries whose k is a sizable fraction of
+  /// the candidate pool (the deep-k fallback) still go to the exhaustive
+  /// scan (see SearchTermsScored). 0 forces maxscore whenever pruning is
+  /// on AND disables both of those routes (tests use this to pin the
+  /// pruned path).
   size_t pruning_min_postings = 4096;
   /// Postings per sealed block: the granularity of the per-block skip
   /// entries that drive block-max pruning, and the unit of bit-packed
@@ -367,7 +373,6 @@ class InvertedIndex : public WritableIndex {
   /// dictionary, in original query order.
   struct QueryTerm {
     const PostingList* postings;
-    TermId tid;  ///< for exact-weight lookups in the forward index
     double idf;
     double upper_bound;    ///< conservative per-doc score cap (rounded up)
     PostingCursor cursor;  ///< sweep position (maxscore only)
@@ -399,22 +404,10 @@ class InvertedIndex : public WritableIndex {
   std::shared_ptr<const NormCache> Norms(double avg_len,
                                          size_t total_postings) const;
 
-  /// Exact stored weight of `tid` in document `d`, from the forward
-  /// index (binary search of the doc's TermId-sorted term list); 0 when
-  /// the document lacks the term. The float returned is the very value
-  /// AppendPostingLocked stored, so scoring from here (the warm-up does)
-  /// reproduces the posting-walk score bit-for-bit.
-  float ForwardWeight(TermId tid, DocId d) const;
-
-  /// Exact BM25 score of document `d`: contributions of the query terms
-  /// present in `d`, summed in original query order — the exhaustive
-  /// accumulator's exact addition sequence, so identical bits.
-  double ScoreDocExact(const std::vector<QueryTerm>& query,
-                       const NormView& norms, DocId d) const;
-
+  /// Term-at-a-time scan of every posting into a per-thread dense
+  /// accumulator, then a bounded top-k heap over the touched documents.
   std::vector<SearchHit> SearchExhaustive(const std::vector<QueryTerm>& query,
                                           const NormView& norms,
-                                          size_t total_postings,
                                           size_t k) const;
   /// Block-max maxscore. `min_norm` is the smallest length norm in the
   /// corpus (the bound floor both the list-level and the per-block

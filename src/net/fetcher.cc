@@ -26,13 +26,13 @@ ProbeScheduler::~ProbeScheduler() {
 }
 
 void ProbeScheduler::InsertLocked(const std::string& key,
-                                  const Result<HttpResponse>& r) {
+                                  const SharedResponse& r) {
   if (options_.cache_capacity == 0) return;
   // Transport errors and server errors (5xx) are treated as transient and
   // never cached — one flaky response must not poison a URL for the
   // scheduler's whole lifetime. Deterministic outcomes (2xx-4xx pages)
   // are cached.
-  if (!r.ok() || r->status_code >= 500) return;
+  if (!r->ok() || (*r)->status_code >= 500) return;
   // Only the key's single in-flight leader reaches here, and a new leader
   // cannot start while the key is cached — the key is always absent.
   lru_.push_front(key);
@@ -50,6 +50,7 @@ Result<HttpResponse> ProbeScheduler::Fetch(const Url& url) {
   const std::string key = url.ToCanonicalString();
   const std::string host = url.host();
   std::shared_ptr<InFlight> flight;
+  SharedResponse hit;  // copied out only once mu_ is released
   {
     std::unique_lock<std::mutex> lock(mu_);
     ++stats_.requests;
@@ -57,10 +58,8 @@ Result<HttpResponse> ProbeScheduler::Fetch(const Url& url) {
     if (it != cache_.end()) {
       ++stats_.cache_hits;
       lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      return it->second.response;
-    }
-    auto fit = in_flight_.find(key);
-    if (fit != in_flight_.end()) {
+      hit = it->second.response;
+    } else if (auto fit = in_flight_.find(key); fit != in_flight_.end()) {
       // Same URL being fetched right now — wait for that result instead
       // of issuing a duplicate request.
       ++stats_.coalesced;
@@ -69,26 +68,31 @@ Result<HttpResponse> ProbeScheduler::Fetch(const Url& url) {
       ++flight->waiters;
       flight->done_cv.wait(lock, [&] { return flight->done; });
       --flight->waiters;
-      return *flight->response;
+      hit = flight->response;
+    } else {
+      if (options_.per_host_budget != 0 &&
+          host_fetches_[host] >= options_.per_host_budget) {
+        ++stats_.budget_denials;
+        return Status::ResourceExhausted(
+            "per-host fetch budget exhausted: " + host);
+      }
+      ++stats_.cache_misses;
+      ++host_fetches_[host];
+      flight = std::make_shared<InFlight>();
+      in_flight_.emplace(key, flight);
     }
-    if (options_.per_host_budget != 0 &&
-        host_fetches_[host] >= options_.per_host_budget) {
-      ++stats_.budget_denials;
-      return Status::ResourceExhausted("per-host fetch budget exhausted: " +
-                                       host);
-    }
-    ++stats_.cache_misses;
-    ++host_fetches_[host];
-    flight = std::make_shared<InFlight>();
-    in_flight_.emplace(key, flight);
   }
+  if (hit != nullptr) return *hit;
 
   Result<HttpResponse> response = web_->Get(url);
-
+  // The one copy, made before locking; a copy's buffers are also sized
+  // to fit, unlike the ones the page was built in, so it is the copy
+  // that the cache keeps.
+  auto shared = std::make_shared<const Result<HttpResponse>>(response);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    InsertLocked(key, response);
-    flight->response = std::make_unique<Result<HttpResponse>>(response);
+    InsertLocked(key, shared);
+    flight->response = shared;
     flight->done = true;
     in_flight_.erase(key);
   }

@@ -105,20 +105,23 @@ class ProbeScheduler {
   const ProbeSchedulerOptions& options() const { return options_; }
 
  private:
+  /// One fetched response, held once and shared by its cache entry and
+  /// its in-flight record; callers copy it out after releasing mu_.
+  using SharedResponse = std::shared_ptr<const Result<HttpResponse>>;
   struct CacheEntry {
-    Result<HttpResponse> response;
+    SharedResponse response;
     std::list<std::string>::iterator lru_it;
   };
   struct InFlight {
     std::condition_variable done_cv;
     bool done = false;
-    std::unique_ptr<Result<HttpResponse>> response;
+    SharedResponse response;
     size_t waiters = 0;
   };
 
   /// Inserts into the cache, evicting LRU entries beyond capacity.
   /// Requires mu_ held.
-  void InsertLocked(const std::string& key, const Result<HttpResponse>& r);
+  void InsertLocked(const std::string& key, const SharedResponse& r);
 
   void WorkerLoop();
 

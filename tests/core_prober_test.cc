@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
+
 #include "core/prober.h"
+#include "extract/record_extractor.h"
+#include "html/parser.h"
+#include "index/analyzer.h"
 #include "test_support.h"
 
 namespace deepsurf {
@@ -50,6 +57,46 @@ TEST(ReducePageTest, DifferentRecordsDifferentSignature) {
       "<div class=i><span>delta record content</span></div>";
   EXPECT_NE(ReducePage(200, page1).signature,
             ReducePage(200, page2).signature);
+}
+
+TEST(ReducePageTest, TermMapsMatchRegionTextAndPerRecordCounts) {
+  // Repeated terms within and across records, stop words ("the", "and",
+  // "of") and 1-char tokens ("a", "x", "7"), which the analyzer drops.
+  std::string page =
+      "<div class=i><span>The red car and the red truck</span>"
+      "<span>x 7 red</span></div>"
+      "<div class=i><span>a blue car of the year</span>"
+      "<span>blue blue 1999</span></div>"
+      "<div class=i><span>red bike</span><span>a 7 of x</span></div>";
+  ProbeResult r = ReducePage(200, page);
+  ASSERT_EQ(r.record_count, 3u);
+
+  // Expected maps straight from the record texts: term frequencies over
+  // the newline-joined region text, record frequencies as per-record
+  // distinct counts.
+  auto extraction = extract::ExtractRecords(*html::Parse(page));
+  ASSERT_EQ(extraction.records.size(), 3u);
+  std::string region_text;
+  std::map<std::string, double> record_df;
+  for (const auto& rec : extraction.records) {
+    const std::string joined = rec.Joined();
+    region_text += joined + "\n";
+    const auto tokens = index::ContentTokens(joined);
+    for (const auto& t : std::set<std::string>(tokens.begin(), tokens.end())) {
+      record_df[t] += 1.0;
+    }
+  }
+  EXPECT_EQ(r.term_frequencies, index::TermFrequencies(region_text));
+  EXPECT_EQ(r.record_document_frequencies, record_df);
+
+  // Spot checks that the page exercises what it is meant to.
+  EXPECT_EQ(r.term_frequencies.at("red"), 4.0);
+  EXPECT_EQ(r.record_document_frequencies.at("red"), 2.0);
+  EXPECT_EQ(r.term_frequencies.at("blue"), 3.0);
+  EXPECT_EQ(r.record_document_frequencies.at("blue"), 1.0);
+  EXPECT_EQ(r.term_frequencies.count("the"), 0u);
+  EXPECT_EQ(r.term_frequencies.count("x"), 0u);
+  EXPECT_EQ(r.term_frequencies.count("7"), 0u);
 }
 
 TEST(ProberTest, ProbeAgainstRealSite) {

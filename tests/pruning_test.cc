@@ -11,8 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "index/analyzer.h"
@@ -351,6 +354,15 @@ TEST(PruningEdgeCases, AdaptiveFallbackIsUnobservableInResults) {
   ASSERT_TRUE(reference.InsertBatch(docs).ok());
 
   auto queries = RandomQueries(78, 60);
+  // Single-term rows: with pruning_min_postings 1 these route to the
+  // scan, forced maxscore keeps them on maxscore. A repeated term is two
+  // query positions and stays on maxscore. Words 0-11 are RandomDocs'
+  // head vocabulary (long lists), the rest tail terms.
+  const auto& words = synthweb::EnglishWords();
+  for (size_t w = 0; w < 16; ++w) {
+    queries.push_back({words[w]});
+    queries.push_back({words[w], words[w]});
+  }
   for (size_t min_postings : {IndexOptions{}.pruning_min_postings, size_t{1},
                               size_t{0}}) {
     IndexOptions opts;
@@ -363,6 +375,177 @@ TEST(PruningEdgeCases, AdaptiveFallbackIsUnobservableInResults) {
         ExpectSameHits(reference.SearchTerms(terms, k),
                        idx.SearchTerms(terms, k),
                        "pruning_min_postings " + std::to_string(min_postings));
+      }
+    }
+  }
+}
+
+TEST(PruningEdgeCases, ScoreTiesStraddlingTheKthPlaceBreakOnDocId) {
+  // 36 one-term documents that all score alike ("apple" and "berry"
+  // alternate, so both have equal df, and every document has the same
+  // length), interleaved so the scan touches them out of id order, plus
+  // four documents holding both terms that outrank them. Whenever the
+  // k-th place falls inside the tie group, the lowest doc ids must win.
+  std::vector<Document> docs;
+  bool apple = true;
+  for (size_t i = 0; i < 48; ++i) {
+    std::string body;
+    if (i % 12 == 5) {
+      body = "apple berry";
+    } else if (i % 12 == 8 || i % 12 == 9) {
+      body = "cherry filler";
+    } else {
+      body = apple ? "apple filler" : "berry filler";
+      apple = !apple;
+    }
+    docs.push_back(Document{"http://h.example.com/p" + std::to_string(i), "t",
+                            body, false, "h.example.com"});
+  }
+  std::vector<DocId> both;
+  std::vector<DocId> tied;
+  for (size_t i = 0; i < docs.size(); ++i) {
+    if (docs[i].body == "apple berry") {
+      both.push_back(static_cast<DocId>(i));
+    } else if (docs[i].body != "cherry filler") {
+      tied.push_back(static_cast<DocId>(i));
+    }
+  }
+  ASSERT_EQ(both.size(), 4u);
+  ASSERT_EQ(tied.size(), 36u);
+
+  IndexOptions ex;
+  ex.enable_pruning = false;
+  ex.suppress_duplicates = false;
+  IndexOptions forced = ex;
+  forced.enable_pruning = true;
+  forced.pruning_min_postings = 0;
+  IndexOptions compressed = forced;
+  compressed.compress_postings = true;
+  compressed.posting_block_size = 4;
+  IndexOptions routed = forced;
+  routed.pruning_min_postings = 1;  // single terms go to the scan
+  for (const IndexOptions& opts : {ex, forced, compressed, routed}) {
+    InvertedIndex idx(opts);
+    ASSERT_TRUE(idx.InsertBatch(docs).ok());
+    ASSERT_EQ(idx.DocFrequency("apple"), idx.DocFrequency("berry"));
+    for (const auto& terms : std::vector<std::vector<std::string>>{
+             {"apple", "berry"}, {"berry", "apple"}}) {
+      for (size_t k : {5u, 10u, 25u}) {
+        const auto hits = idx.SearchTerms(terms, k);
+        ASSERT_EQ(hits.size(), k);
+        const auto deeper = idx.SearchTerms(terms, k + 1);
+        ASSERT_EQ(deeper.size(), k + 1);
+        // The tie straddles the cut: the first hit left out scores
+        // exactly what the last hit kept does.
+        EXPECT_EQ(std::memcmp(&hits[k - 1].score, &deeper[k].score,
+                              sizeof(double)),
+                  0);
+        for (size_t r = 0; r < both.size(); ++r) {
+          EXPECT_TRUE(std::count(both.begin(), both.end(), hits[r].doc))
+              << "rank " << r;
+        }
+        for (size_t r = both.size(); r < k; ++r) {
+          EXPECT_EQ(hits[r].doc, tied[r - both.size()]) << "rank " << r;
+        }
+      }
+    }
+    // A single term ties every document it matches: the ten lowest ids.
+    const auto single = idx.SearchTerms({"apple"}, 10);
+    ASSERT_EQ(single.size(), 10u);
+    for (size_t r = 1; r < single.size(); ++r) {
+      EXPECT_EQ(single[r].score, single[0].score);
+      EXPECT_LT(single[r - 1].doc, single[r].doc);
+    }
+  }
+}
+
+/// Runs `search` on a thread that has never searched, so its per-thread
+/// scoring scratch starts empty.
+std::vector<SearchHit> OnFreshThread(
+    const std::function<std::vector<SearchHit>()>& search) {
+  std::vector<SearchHit> out;
+  std::thread t([&] { out = search(); });
+  t.join();
+  return out;
+}
+
+TEST(PruningScratch, AlternatingIndexSizesMatchFreshThreads) {
+  // Scoring scratch is per thread and outlives each query: a thread that
+  // has just searched a 5000-doc index must score a 5-doc one, and one
+  // that grew since its last query, exactly like a thread that never
+  // searched.
+  auto grow_docs = RandomDocs(93, 2000);
+  auto queries = RandomQueries(94, 24);
+  for (bool prune : {false, true}) {
+    IndexOptions opts;
+    opts.enable_pruning = prune;
+    opts.pruning_min_postings = 0;  // with pruning on, force maxscore
+    InvertedIndex tiny(opts);
+    InvertedIndex big(opts);
+    InvertedIndex growing(opts);
+    ASSERT_TRUE(tiny.InsertBatch(RandomDocs(91, 5)).ok());
+    ASSERT_TRUE(big.InsertBatch(RandomDocs(92, 5000)).ok());
+    size_t grown = 0;
+    for (const auto& terms : queries) {
+      const size_t next = std::min(grow_docs.size(), grown + 80);
+      ASSERT_TRUE(growing
+                      .InsertBatch(std::vector<Document>(
+                          grow_docs.begin() + grown, grow_docs.begin() + next))
+                      .ok());
+      grown = next;
+      for (const InvertedIndex* idx : {&big, &tiny, &growing}) {
+        for (size_t k : {1u, 10u, 100u}) {
+          ExpectSameHits(
+              OnFreshThread([&] { return idx->SearchTerms(terms, k); }),
+              idx->SearchTerms(terms, k),
+              std::string(prune ? "maxscore" : "scan") + " over " +
+                  std::to_string(idx->num_docs()) + " docs, k " +
+                  std::to_string(k));
+        }
+      }
+    }
+  }
+}
+
+TEST(PruningScratch, ConcurrentQueriesOnOneIndexAgree) {
+  // Several threads hammer one index, each with its own scratch; the
+  // compressed configuration also races to pin decoded blocks.
+  auto docs = RandomDocs(95, 3000);
+  auto queries = RandomQueries(96, 40);
+  for (bool prune : {false, true}) {
+    IndexOptions opts;
+    opts.enable_pruning = prune;
+    opts.pruning_min_postings = 0;
+    opts.compress_postings = prune;
+    opts.posting_block_size = 32;
+    InvertedIndex idx(opts);
+    ASSERT_TRUE(idx.InsertBatch(docs).ok());
+    std::vector<std::vector<SearchHit>> want;
+    for (const auto& terms : queries) {
+      for (size_t k : {5u, 50u}) want.push_back(idx.SearchTerms(terms, k));
+    }
+    constexpr size_t kThreads = 4;
+    constexpr size_t kRounds = 3;
+    std::vector<std::vector<std::vector<SearchHit>>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (size_t round = 0; round < kRounds; ++round) {
+          for (const auto& terms : queries) {
+            for (size_t k : {5u, 50u}) {
+              got[t].push_back(idx.SearchTerms(terms, k));
+            }
+          }
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    for (size_t t = 0; t < kThreads; ++t) {
+      ASSERT_EQ(got[t].size(), kRounds * want.size());
+      for (size_t i = 0; i < got[t].size(); ++i) {
+        ExpectSameHits(want[i % want.size()], got[t][i],
+                       "thread " + std::to_string(t) + " query " +
+                           std::to_string(i));
       }
     }
   }
