@@ -9,10 +9,8 @@
 //
 //   1. equivalence — pruned and compressed (bit-packed) both
 //      byte-identical to exhaustive on every query;
-//   2. codec identity — the bit-packed path returns the same bytes
-//      whether the scalar or the SIMD kernel decodes it (scalar ≡ SIMD),
-//      checked by re-running the sweep under a forced-scalar override
-//      when a SIMD kernel is active;
+//   2. codec identity — the decode microbench reproduces its ground
+//      truth exactly on every block it round-trips;
 //   3. no pruning regression — no query cell materially slower than
 //      exhaustive (the adaptive fallback's job);
 //   4. compression >= 2x fewer doc-id bytes per posting at the largest
@@ -24,17 +22,22 @@
 //   6. pruned >= 1.3x exhaustive at qlen=8 / k=100 on the largest
 //      corpus — the decode-bound cell impact-ordered warm-up exists for.
 //
-// A decode-throughput microbench (ints/sec: bit-packed scalar vs SIMD,
-// across gap widths) and the runtime kernel dispatch decision are
-// recorded in the JSON so codec regressions are visible independent of
-// query mix and checked-in numbers stay interpretable across runner
-// generations.
+// A decode-throughput microbench (ints/sec across gap widths) and the
+// decode kernel's name are recorded in the JSON so codec regressions
+// are visible independent of query mix.
+//
+// Query throughput (the qps columns every timing gate reads) is timed
+// in thread CPU time: every gated search runs on the calling thread, so
+// that clock counts the same work while dropping the time a busy host
+// spends running other processes instead. The p50/p99 latency columns
+// stay wall-clock.
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <memory>
 #include <string>
 #include <vector>
@@ -54,6 +57,14 @@ using Clock = std::chrono::steady_clock;
 
 double Seconds(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/// CPU time consumed by the calling thread, in seconds.
+double ThreadCpuSeconds() {
+  timespec ts;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
 // ---------------------------------------------------------------------
@@ -112,18 +123,20 @@ std::vector<std::vector<std::string>> MakeQueries(size_t n, size_t len,
   return queries;
 }
 
-/// Runs `search` over the query pool until `min_time` elapses (whole
-/// passes, at least one); returns queries per second. When `latency_ms`
-/// is non-null, each individual query's wall time feeds the tracker —
-/// the same sliding-window percentile machinery bench_remote reports
-/// with, so index-level p50/p99 line up with the remote layer's.
+/// Runs `search` over the query pool until `min_time` seconds of this
+/// thread's CPU time elapse (whole passes, at least one); returns
+/// queries per CPU second. When `latency_ms` is non-null, each
+/// individual query's wall time feeds the tracker — the same
+/// sliding-window percentile machinery bench_remote reports with, so
+/// index-level p50/p99 line up with the remote layer's.
 template <typename SearchFn>
 double MeasureQps(const std::vector<std::vector<std::string>>& queries,
                   double min_time, stats::PercentileTracker* latency_ms,
                   SearchFn&& search) {
   size_t done = 0;
   volatile size_t sink = 0;  // keeps the search from being optimized out
-  auto start = Clock::now();
+  const double start = ThreadCpuSeconds();
+  double elapsed = 0;
   do {
     for (const auto& q : queries) {
       if (latency_ms != nullptr) {
@@ -135,21 +148,20 @@ double MeasureQps(const std::vector<std::vector<std::string>>& queries,
       }
     }
     done += queries.size();
-  } while (Seconds(start) < min_time);
-  return static_cast<double>(done) / Seconds(start);
+    elapsed = ThreadCpuSeconds() - start;
+  } while (elapsed < min_time);
+  return static_cast<double>(done) / elapsed;
 }
 
 // ---------------------------------------------------------------------
 // Decode-throughput microbench: raw codec speed (ints/sec) with no
 // query machinery around it, so a codec regression is visible even when
 // the query mix hides it. One stream per gap width — posting-list gap
-// distributions vary with term frequency, and the kernels' relative
-// speed varies with width (the SIMD kernel covers widths up to 16).
+// distributions vary with term frequency.
 
 struct DecodeBench {
   double bitpack_scalar_mips = 0;  ///< millions of ints per second
-  double bitpack_simd_mips = 0;    ///< == scalar when no SIMD kernel ran
-  bool identical = true;           ///< all kernels reproduced the input
+  bool identical = true;           ///< decode reproduced the input
 };
 
 DecodeBench RunDecodeMicrobench() {
@@ -189,50 +201,38 @@ DecodeBench RunDecodeMicrobench() {
   std::vector<uint32_t> out(kBlock);
   volatile uint32_t sink = 0;
 
-  // One full pass decodes every block of every stream with
-  // `decode_block(stream, block_index, base, dst)`; the first pass
+  // Decodes block `b` of stream `s` into `out`; false on rejection.
+  auto decode_block = [&](const Stream& s, size_t b) {
+    const uint32_t base = b == 0 ? 0 : s.docs[b * kBlock - 1];
+    return index::DecodeBitpackBlock(s.packed.data() + s.packed_off[b],
+                                     s.packed.data() + s.packed.size(),
+                                     kBlock, base, out.data()) != 0;
+  };
+  // One full pass decodes every block of every stream; the first pass
   // verifies output against the ground truth, later passes are timed.
-  auto measure = [&](auto&& decode_block) {
-    for (const auto& s : streams) {  // correctness before speed
-      for (size_t b = 0; b < kBlocksPerWidth; ++b) {
-        uint32_t base = b == 0 ? 0 : s.docs[b * kBlock - 1];
-        if (!decode_block(s, b, base, out.data()) ||
-            std::memcmp(out.data(), s.docs.data() + b * kBlock,
-                        kBlock * sizeof(uint32_t)) != 0) {
-          result.identical = false;
-        }
+  for (const auto& s : streams) {  // correctness before speed
+    for (size_t b = 0; b < kBlocksPerWidth; ++b) {
+      if (!decode_block(s, b) ||
+          std::memcmp(out.data(), s.docs.data() + b * kBlock,
+                      kBlock * sizeof(uint32_t)) != 0) {
+        result.identical = false;
       }
     }
-    size_t passes = 0;
-    auto start = Clock::now();
-    do {
-      for (const auto& s : streams) {
-        for (size_t b = 0; b < kBlocksPerWidth; ++b) {
-          uint32_t base = b == 0 ? 0 : s.docs[b * kBlock - 1];
-          (void)decode_block(s, b, base, out.data());
-          sink = sink + out[kBlock - 1];
-        }
+  }
+  size_t passes = 0;
+  auto start = Clock::now();
+  do {
+    for (const auto& s : streams) {
+      for (size_t b = 0; b < kBlocksPerWidth; ++b) {
+        (void)decode_block(s, b);
+        sink = sink + out[kBlock - 1];
       }
-      ++passes;
-    } while (Seconds(start) < kMinTime);
-    return static_cast<double>(passes) * static_cast<double>(ints_per_pass) /
-           Seconds(start) / 1e6;
-  };
-
-  auto bitpack_with = [&](index::BitpackKernel kernel) {
-    return measure(
-        [kernel](const auto& s, size_t b, uint32_t base, uint32_t* dst) {
-          const uint8_t* p = s.packed.data() + s.packed_off[b];
-          return index::DecodeBitpackBlockWith(
-                     kernel, p, s.packed.data() + s.packed.size(), kBlock,
-                     base, dst) != 0;
-        });
-  };
-  result.bitpack_scalar_mips = bitpack_with(index::BitpackKernel::kScalar);
-  index::BitpackKernel active = index::ActiveBitpackKernel();
-  result.bitpack_simd_mips = active == index::BitpackKernel::kScalar
-                                 ? result.bitpack_scalar_mips
-                                 : bitpack_with(active);
+    }
+    ++passes;
+  } while (Seconds(start) < kMinTime);
+  result.bitpack_scalar_mips = static_cast<double>(passes) *
+                               static_cast<double>(ints_per_pass) /
+                               Seconds(start) / 1e6;
   return result;
 }
 
@@ -289,23 +289,15 @@ void WriteJson(const std::vector<CorpusRow>& rows, const Verdict& v,
     std::fprintf(stderr, "cannot open %s for writing\n", path);
     return;
   }
-  std::string compiled;
-  for (auto k : index::CompiledBitpackKernels()) {
-    if (!compiled.empty()) compiled += ",";
-    compiled += index::BitpackKernelName(k);
-  }
   std::fprintf(
       f,
       "{\n  \"bench\": \"bench_index\",\n"
       "  \"bitpack_kernel\": \"%s\",\n"
-      "  \"bitpack_kernels_compiled\": \"%s\",\n"
       "  \"decode_microbench\": {"
-      "\"bitpack_scalar_mints_per_s\": %s, "
-      "\"bitpack_simd_mints_per_s\": %s, \"identical\": %s},\n"
+      "\"bitpack_scalar_mints_per_s\": %s, \"identical\": %s},\n"
       "  \"corpora\": [\n",
       index::BitpackKernelName(index::ActiveBitpackKernel()),
-      compiled.c_str(), JsonEscapeNumber(dec.bitpack_scalar_mips).c_str(),
-      JsonEscapeNumber(dec.bitpack_simd_mips).c_str(),
+      JsonEscapeNumber(dec.bitpack_scalar_mips).c_str(),
       dec.identical ? "true" : "false");
   for (size_t i = 0; i < rows.size(); ++i) {
     const auto& r = rows[i];
@@ -406,17 +398,11 @@ int Run(int argc, char** argv) {
 
   // Raw codec speed first — independent of any query mix.
   const DecodeBench dec = RunDecodeMicrobench();
-  std::printf("\ndecode microbench (%s kernel active; compiled:",
-              index::BitpackKernelName(index::ActiveBitpackKernel()));
-  for (auto k : index::CompiledBitpackKernels()) {
-    std::printf(" %s", index::BitpackKernelName(k));
-  }
   std::printf(
-      ")\n  bitpack scalar %.0f Mints/s | bitpack %s %.0f Mints/s | "
+      "\ndecode microbench (%s kernel)\n  bitpack %.0f Mints/s | "
       "outputs identical: %s\n",
-      dec.bitpack_scalar_mips,
       index::BitpackKernelName(index::ActiveBitpackKernel()),
-      dec.bitpack_simd_mips, dec.identical ? "yes" : "NO");
+      dec.bitpack_scalar_mips, dec.identical ? "yes" : "NO");
 
   std::vector<CorpusRow> rows;
   Verdict verdict;
@@ -475,8 +461,7 @@ int Run(int argc, char** argv) {
     auto exhaustive = build(ex_opts);
 
     // The compressed configuration: identical scoring (the equivalence
-    // sweep holds it to the byte), bit-packed doc-id blocks decoded by
-    // the dispatched kernel.
+    // sweep holds it to the byte), bit-packed doc-id blocks.
     index::IndexOptions comp_opts;
     comp_opts.compress_postings = true;
     auto compressed = build(comp_opts);
@@ -521,8 +506,6 @@ int Run(int argc, char** argv) {
         "k", "exhst q/s", "pruned q/s", "bitpk q/s", "vs exhst", "bp vs pr",
         "p50 ms", "p99 ms", "equiv");
 
-    const bool simd_active =
-        index::ActiveBitpackKernel() != index::BitpackKernel::kScalar;
     for (size_t qlen : query_lens) {
       auto queries = MakeQueries(kQueryPool, qlen, 13 * qlen + num_docs);
       for (size_t k : ks) {
@@ -532,15 +515,11 @@ int Run(int argc, char** argv) {
         qr.k = k;
 
         // Equivalence before speed: every configuration must be
-        // byte-identical to exhaustive on every query of the pool —
-        // and the bit-packed index must stay byte-identical when the
-        // scalar kernel decodes it instead of the dispatched SIMD one
-        // (scalar ≡ SIMD, end to end through real queries).
+        // byte-identical to exhaustive on every query of the pool.
         qr.equivalent = true;
         auto check_against = [&](const std::vector<std::string>& q,
                                  const std::vector<index::SearchHit>& a,
-                                 const index::InvertedIndex& other,
-                                 bool* flag) {
+                                 const index::InvertedIndex& other) {
           auto b = other.SearchTerms(q, k);
           bool same = a.size() == b.size();
           for (size_t r = 0; same && r < a.size(); ++r) {
@@ -549,18 +528,13 @@ int Run(int argc, char** argv) {
           }
           if (!same) {
             qr.equivalent = false;
-            *flag = false;
+            verdict.all_equivalent = false;
           }
         };
         for (const auto& q : queries) {
           auto a = exhaustive->SearchTerms(q, k);
-          check_against(q, a, pruned, &verdict.all_equivalent);
-          check_against(q, a, *compressed, &verdict.all_equivalent);
-          if (simd_active) {
-            index::SetBitpackKernelOverride(index::BitpackKernel::kScalar);
-            check_against(q, a, *compressed, &verdict.codec_identity);
-            index::ClearBitpackKernelOverride();
-          }
+          check_against(q, a, pruned);
+          check_against(q, a, *compressed);
         }
 
         qr.exhaustive_qps = MeasureQps(
@@ -683,9 +657,9 @@ int Run(int argc, char** argv) {
 
   bench::Verdict(
       verdict.pass(),
-      "pruned and bit-packed top-k byte-identical to exhaustive (scalar "
-      "and SIMD kernels alike) at every corpus size x "
-      "query length x k; no cell materially slower than exhaustive; the "
+      "pruned and bit-packed top-k byte-identical to exhaustive at every "
+      "corpus size x query length x k; decode reproduces its ground "
+      "truth; no cell materially slower than exhaustive; the "
       "compressed path at least as fast as uncompressed at the largest "
       "corpus; qlen=8/k=100 pruned >= 1.3x exhaustive; doc-id bytes "
       "halved by compression");

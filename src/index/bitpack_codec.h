@@ -10,13 +10,11 @@
 //              occupies bits [i*w, (i+1)*w) of a little-endian bit
 //              stream (bit j lives in byte j/8 at in-byte position j%8)
 //
-// Horizontal layout makes decode word-parallel: the scalar kernel
-// walks a 64-bit window with shift/mask (no per-byte branch), and the
-// SSE4.1 kernel (compiled under __SSE4_1__, chosen by runtime dispatch)
-// unpacks 4 gaps per step and prefix-sums them back to absolute doc ids
-// in vector registers. Both kernels produce identical output for
-// identical input — pinned by bitpack_codec_test's scalar≡SIMD fuzz —
-// so which kernel ran is unobservable in results, only in nanoseconds.
+// Decode walks a 64-bit window over the horizontal stream with
+// shift/mask — one unaligned load per gap, no per-byte branch — and
+// prefix-sums the gaps back to absolute doc ids. It is the only decode
+// kernel: a 4-wide SIMD kernel beat it in the isolated decode
+// microbench but in no bench_index query cell.
 //
 // The decoder never trusts its input: a missing or out-of-range width
 // byte, or a buffer shorter than the packed payload the width implies,
@@ -32,30 +30,16 @@
 namespace deepsurf {
 namespace index {
 
-/// Decode kernels, narrowest-ISA first. Which ones exist in a binary
-/// depends on the compile flags (-march / -msse4.1); which one runs is
-/// decided once at runtime from cpuid.
-enum class BitpackKernel : uint8_t { kScalar = 0, kSse41 = 1 };
+/// The decode kernel, recorded as provenance next to benchmark numbers.
+/// Scalar is the only one.
+enum class BitpackKernel : uint8_t { kScalar = 0 };
 
-/// Stable lowercase name ("scalar", "sse41") — what the bench
-/// JSON records so checked-in numbers are interpretable across runners.
+/// Stable lowercase name ("scalar") — what the bench JSON records so
+/// checked-in numbers are interpretable across builds.
 const char* BitpackKernelName(BitpackKernel k);
 
-/// Kernels compiled into this binary, strongest ISA first. Always
-/// contains at least kScalar.
-std::vector<BitpackKernel> CompiledBitpackKernels();
-
-/// The kernel undirected decodes will actually use: the strongest one
-/// that is both compiled in and supported by this CPU (cpuid-checked
-/// once), unless overridden.
+/// The kernel decodes use: always kScalar.
 BitpackKernel ActiveBitpackKernel();
-
-/// Test/bench hook: force every subsequent decode onto `k` (which must
-/// be compiled in and CPU-supported — returns false otherwise). Pass
-/// nullptr-like reset via ClearBitpackKernelOverride(). Not for
-/// production paths; reads are a single relaxed atomic load.
-bool SetBitpackKernelOverride(BitpackKernel k);
-void ClearBitpackKernelOverride();
 
 /// Appends the bit-packed encoding of `n` ascending doc ids to `out`:
 /// gaps against `base` (the previous block's last id; 0 for a list's
@@ -68,20 +52,10 @@ void EncodeBitpackBlock(const uint32_t* docs, size_t n, uint32_t base,
 size_t BitpackEncodedSize(size_t n, uint32_t width);
 
 /// Decodes `n` doc ids from [p, end) against `base` into `out` (caller
-/// provides capacity for n) using the active kernel. Returns the bytes
-/// consumed, or 0 on truncated/malformed input (`out` contents are
-/// unspecified then).
+/// provides capacity for n). Returns the bytes consumed, or 0 on
+/// truncated/malformed input (`out` contents are unspecified then).
 size_t DecodeBitpackBlock(const uint8_t* p, const uint8_t* end, size_t n,
                           uint32_t base, uint32_t* out);
-
-/// As DecodeBitpackBlock but on an explicit kernel — the scalar≡SIMD
-/// equality tests and the decode microbench drive this directly.
-/// Calling it with a kernel that is not compiled in falls back to
-/// scalar (it cannot crash on an unsupported CPU only if the caller
-/// checked ActiveBitpackKernel/CompiledBitpackKernels first).
-size_t DecodeBitpackBlockWith(BitpackKernel kernel, const uint8_t* p,
-                              const uint8_t* end, size_t n, uint32_t base,
-                              uint32_t* out);
 
 }  // namespace index
 }  // namespace deepsurf

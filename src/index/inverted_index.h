@@ -12,8 +12,8 @@
 // A block that fills up is sealed: a skip entry (last doc id, max
 // posting weight, byte offset) is recorded, and — with
 // IndexOptions::compress_postings — its doc ids are re-encoded as
-// fixed-width bit-packed gaps (index/bitpack_codec.h; SIMD-decoded
-// where the CPU allows). The newest postings of a term live in an
+// fixed-width bit-packed gaps (index/bitpack_codec.h; one scalar
+// shift/mask decode kernel). The newest postings of a term live in an
 // unsealed raw tail, so ingest stays append-only and interleaved
 // InsertBatch/search keeps working. Posting weights stay raw floats in
 // one parallel array, so the scoring loop reads the exact same bits

@@ -15,6 +15,23 @@ namespace remote {
 namespace {
 using Clock = std::chrono::steady_clock;
 
+/// The hedge fires at this quantile of recent RPC latencies...
+constexpr double kHedgeQuantile = 0.95;
+/// ...once the tracker holds this many samples (hedge_min_ms before).
+constexpr size_t kHedgeWarmup = 16;
+/// Window of the RPC latency tracker driving the hedge delay.
+constexpr size_t kLatencyWindow = 512;
+/// Consecutive failures before a replica is skipped as dead.
+constexpr size_t kDeadAfter = 3;
+/// Fan-out worker threads: min(kFanoutThreadCap, max(4 * shards,
+/// shards * replicas)). Shard calls of one query run on these; the
+/// calling thread always takes shard 0, so a small pool degrades
+/// throughput, never progress.
+constexpr size_t kFanoutThreadCap = 32;
+/// Payload-byte budget per catch-up Fetch round (one peer RPC or one
+/// local log read); catch-up loops rounds until the replica is current.
+constexpr size_t kCatchupFetchBytes = 1u << 20;
+
 double MsSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
@@ -77,7 +94,7 @@ Coordinator::Coordinator(Transport* transport, CoordinatorOptions options)
       options_(options),
       num_shards_(transport->num_shards()),
       num_replicas_(transport->num_replicas()),
-      latency_ms_(std::max<size_t>(1, options.latency_window)) {
+      latency_ms_(kLatencyWindow) {
   local_to_global_.resize(num_shards_);
   shard_doc_count_.assign(num_shards_, 0);
   shard_seq_.assign(num_shards_, 0);
@@ -116,11 +133,9 @@ Coordinator::Coordinator(Transport* transport, CoordinatorOptions options)
   // Enough workers that one query's fan-out plus replicated ingest can
   // run wide; the calling thread always executes one job itself, so an
   // undersized pool costs throughput, never progress.
-  size_t workers = options_.fanout_threads;
-  if (workers == 0) {
-    workers = std::min<size_t>(
-        32, std::max<size_t>(4 * num_shards_, num_shards_ * num_replicas_));
-  }
+  const size_t workers = std::min<size_t>(
+      kFanoutThreadCap,
+      std::max<size_t>(4 * num_shards_, num_shards_ * num_replicas_));
   pool_workers_.reserve(workers);
   for (size_t i = 0; i < workers; ++i) {
     pool_workers_.emplace_back(&Coordinator::PoolWorkerLoop, this);
@@ -204,7 +219,7 @@ size_t Coordinator::ShardForUrl(const std::string& url) const {
 
 double Coordinator::HedgeDelayMs() const {
   std::lock_guard<std::mutex> lock(telemetry_mu_);
-  if (latency_ms_.size() < options_.hedge_warmup) return options_.hedge_min_ms;
+  if (latency_ms_.size() < kHedgeWarmup) return options_.hedge_min_ms;
   // Quantile() is O(window) — too much to pay under a contended lock on
   // every shard call. Recompute every kRefreshEvery samples; hedge
   // delays only need to track the latency distribution, not each point.
@@ -213,7 +228,7 @@ double Coordinator::HedgeDelayMs() const {
     hedge_delay_cache_ms_ = std::min(
         options_.hedge_max_ms,
         std::max(options_.hedge_min_ms,
-                 latency_ms_.Quantile(options_.hedge_quantile)));
+                 latency_ms_.Quantile(kHedgeQuantile)));
     hedge_delay_refresh_at_ = latency_ms_.total() + kRefreshEvery;
   }
   return hedge_delay_cache_ms_;
@@ -474,7 +489,7 @@ Result<std::string> Coordinator::CallShard(
       const bool hard_failure = (s.done && !s.pressure) || (!s.done && !won);
       if (!hard_failure) continue;
       ++h.consecutive_failures;
-      if (!h.dead && h.consecutive_failures >= options_.dead_after) {
+      if (!h.dead && h.consecutive_failures >= kDeadAfter) {
         h.dead = true;
         g_replicas_dead_->Add(1);
       }
@@ -932,7 +947,7 @@ std::vector<IngestLogRecord> Coordinator::FetchMissing(
   if (peer >= 0) {
     FetchRequest freq;
     freq.from_seq = from_seq;
-    freq.max_bytes = options_.catchup_fetch_bytes;
+    freq.max_bytes = kCatchupFetchBytes;
     auto resp = CallShard(shard, Encode(freq), peer,
                           options_.catchup_attempts,
                           /*hedging_allowed=*/false);
@@ -957,7 +972,7 @@ std::vector<IngestLogRecord> Coordinator::FetchMissing(
   }
   // Fall back to the coordinator's own staged log.
   std::shared_lock<std::shared_mutex> lock(mu_);
-  return wal_[shard].Read(from_seq, options_.catchup_fetch_bytes);
+  return wal_[shard].Read(from_seq, kCatchupFetchBytes);
 }
 
 bool Coordinator::CatchUpOne(size_t shard, size_t replica) {

@@ -90,13 +90,11 @@ struct CoordinatorOptions {
   /// Fire a backup request at the next replica when the primary has not
   /// answered within the adaptive hedge delay. Needs num_replicas > 1.
   bool hedging = true;
-  /// The hedge fires at this quantile of recent RPC latencies...
-  double hedge_quantile = 0.95;
-  /// ...clamped into [hedge_min_ms, hedge_max_ms]; the floor also serves
-  /// as the delay until enough samples exist (hedge_warmup).
+  /// The hedge fires at a high quantile of recent RPC latencies,
+  /// clamped into [hedge_min_ms, hedge_max_ms]; the floor also serves
+  /// as the delay until enough samples exist.
   double hedge_min_ms = 0.05;
   double hedge_max_ms = 20.0;
-  size_t hedge_warmup = 16;
   /// Per-attempt deadline: a replica that has neither answered nor
   /// failed by then is presumed lost (dropped request) and the call
   /// rotates onward.
@@ -106,14 +104,6 @@ struct CoordinatorOptions {
   /// Attempts per replica for one ingest batch (ingest must reach every
   /// replica individually, so it retries harder before declaring death).
   size_t ingest_max_attempts = 8;
-  /// Consecutive failures before a replica is skipped as dead.
-  size_t dead_after = 3;
-  /// Window of the RPC latency tracker driving the hedge delay.
-  size_t latency_window = 512;
-  /// Fan-out worker threads (0 = min(4 * shards, 32)). Shard calls of
-  /// one query run on these; the calling thread always takes shard 0, so
-  /// a small pool degrades throughput, never progress.
-  size_t fanout_threads = 0;
   /// Duplicate-suppression policy; must match the servers'
   /// ShardServerOptions::index for the equivalence contract to hold.
   bool suppress_duplicates = true;
@@ -122,10 +112,6 @@ struct CoordinatorOptions {
   /// replica staler than the oldest retained record everywhere cannot
   /// be healed and stays excluded — budget accordingly.
   IngestLogOptions wal;
-  /// Payload-byte budget per catch-up Fetch round (one peer RPC or one
-  /// local log read); catch-up loops rounds until the replica is
-  /// current.
-  size_t catchup_fetch_bytes = 1u << 20;
   /// RPC attempts per replayed batch / per catch-up probe.
   size_t catchup_attempts = 3;
   /// Metrics registry the coordinator's counters live in
@@ -423,7 +409,7 @@ class Coordinator : public index::WritableIndex {
   bool catchup_stop_ = false;
   std::thread catchup_worker_;
 
-  // Fan-out pool (see CoordinatorOptions::fanout_threads).
+  // Fan-out pool (sized by kFanoutThreadCap in coordinator.cc).
   mutable std::mutex pool_mu_;
   mutable std::condition_variable pool_cv_;
   mutable std::deque<std::function<void()>> pool_jobs_;

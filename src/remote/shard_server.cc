@@ -10,6 +10,12 @@
 namespace deepsurf {
 namespace remote {
 
+namespace {
+/// Largest payload-byte budget one Fetch response will carry, however
+/// much the peer asked for (bounds response frames).
+constexpr size_t kMaxFetchBytes = 4u << 20;
+}  // namespace
+
 ShardServer::ShardServer(ShardServerOptions options)
     : options_(options), index_(options.index), wal_(options.wal) {
   if (options_.metrics != nullptr) {
@@ -276,7 +282,7 @@ Result<std::string> ShardServer::HandleFetch(const std::string& request) {
   auto req = DecodeFetchRequest(request);
   if (!req.ok()) return req.status();
   c_fetches_->Inc();
-  size_t budget = options_.max_fetch_bytes;
+  size_t budget = kMaxFetchBytes;
   if (req->max_bytes > 0) {
     budget = std::min<size_t>(budget, static_cast<size_t>(req->max_bytes));
   }
